@@ -26,16 +26,11 @@ Commands
     SIGKILLed at randomized durability sync points, then recovered and
     checked against the crash-safety invariants.  Nonzero exit on any
     violation.
-``tune <graph>``
-    Route a graph through the format autotuner: per-block CBM-vs-CSR
-    decision table with predicted vs measured costs.
-``tune-soak``
-    Workload-shift soak of the autotuner: lying cost model and
-    adversarial mutations; the misprediction watchdog must re-tune with
-    zero dropped or wrong requests.  Nonzero exit on any violation.
+``tune <graph> [-p WIDTH]``
+    Race the GCN serving slot's CBM(DAD) plan against float32 CSR at
+    the given operand width and print both times and the chosen route.
 
-``<graph>`` is a registry name (see ``datasets``), ``mixed[:N]`` (the
-router-stressing mixed-structure benchmark graph), or a path to a
+``<graph>`` is a registry name (see ``datasets``) or a path to a
 MatrixMarket ``.mtx`` file.
 """
 
@@ -62,21 +57,13 @@ from repro.utils.timing import measure
 def _load_graph(spec: str) -> tuple[str, CSRMatrix]:
     if spec in REGISTRY:
         return spec, load_dataset(spec)
-    if spec == "mixed" or spec.startswith("mixed:"):
-        # The mixed-structure benchmark graph (clique half + banded half)
-        # is deliberately not in REGISTRY — it exists to stress the
-        # format router, not to stand in for a paper dataset.
-        from repro.graphs import mixed_structure_graph
-
-        n = int(spec.partition(":")[2] or 768)
-        return f"mixed({n})", mixed_structure_graph(n, seed=0)
     if os.path.exists(spec):
         a = load_matrix_market(spec)
         a.data.fill(1)  # treat any weights as structure
         return os.path.basename(spec), a
     raise SystemExit(
         f"unknown graph {spec!r}: not a registered dataset "
-        f"({', '.join(sorted(REGISTRY))}), not 'mixed[:N]', and not a file"
+        f"({', '.join(sorted(REGISTRY))}) and not a file"
     )
 
 
@@ -426,22 +413,9 @@ def cmd_check_plan(args) -> int:
     With ``--shards N`` the process-parallel shard plan is audited too:
     every row owned by exactly one shard, and no two operand arrays
     aliasing byte spans within a shared-memory segment.
-
-    The autotuner's hybrid format plan rides along: the cost-model
-    router's block map for the graph is materialised into a
-    :class:`HybridPlan` and lowered through the unified IR —
-    disjoint/covering spans (HZ-H201/H202) and executor-vs-committed-map
-    agreement (HZ-H201 stale map, HZ-H203 mis-route).
     """
-    from repro.autotune import RouterPolicy, build_hybrid, tune
     from repro.serving.batching import BatchConfig, BatchLayout
-    from repro.staticcheck import (
-        analyze_hybrid_plan,
-        analyze_ir,
-        analyze_plan,
-        analyze_shard_plan,
-        lower_hybrid_plan,
-    )
+    from repro.staticcheck import analyze_plan, analyze_shard_plan
 
     cfg = BatchConfig(max_columns=args.batch_columns)
     widths = []
@@ -476,24 +450,6 @@ def cmd_check_plan(args) -> int:
                         subject=f"{name}(alpha={args.alpha},shards={args.shards})",
                     )
                 )
-        # Hybrid format plan: route with the cost model (no measurement
-        # race — this is a static gate), lower, and audit.
-        tuned = tune(a, cbm, args.columns, policy=RouterPolicy(measure=False))
-        subject = f"{name}(alpha={args.alpha},route={tuned.chosen})"
-        hybrid = build_hybrid(cbm, a, tuned.decision)
-        if hybrid is not None:
-            reports.append(analyze_hybrid_plan(hybrid, subject=subject))
-            hybrid.drain()
-        else:  # pure-CBM route: audit the one-block map itself
-            reports.append(
-                analyze_ir(
-                    lower_hybrid_plan(
-                        blocks=tuned.decision.block_map(),
-                        n_rows=cbm.shape[0],
-                        subject=subject,
-                    )
-                )
-            )
     return _emit_check_reports(reports, args.json, args.verbose)
 
 
@@ -887,142 +843,38 @@ def cmd_shard_soak(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    """Route a graph through the format autotuner and print the decision.
+    """Race a graph's GCN serving slot: CBM(DAD) plan vs float32 CSR.
 
-    Calibrates the cost model on the actual matrix, prints the router's
-    per-block decision table (predicted CSR vs CBM seconds per block),
-    then races the candidate routes and reports the measured winner.
-    ``--pin`` skips the race and forces a route; ``--no-measure`` trusts
-    the model alone (what a budget-constrained background re-tune does).
+    Builds the slot :class:`~repro.serving.InferenceService` serves GCN
+    forwards from, times both formats interleaved at ``-p`` columns
+    (:meth:`~repro.serving.AdjacencySlot.tune`), and prints the two
+    best times and the route the FAST tier would take.
     """
     import json
 
-    from repro.autotune import CostModel, FormatRouter, RouterPolicy, tune
+    from repro.serving import AdjacencySlot
 
     name, a = _load_graph(args.graph)
-    cbm, _ = build_cbm(a, alpha=args.alpha)
-    policy = RouterPolicy(measure=not args.no_measure, pin=args.pin)
-    model = CostModel.calibrate(a, cbm, columns=args.columns)
-    routed = FormatRouter(model).decide(a, cbm, args.columns, policy=policy)
-    report = tune(a, cbm, args.columns, policy=policy, model=model)
-
-    rows = []
-    for b in routed.blocks:
-        c = b.cost
-        rows.append(
-            [
-                f"[{b.lo}, {b.hi})",
-                b.rows,
-                c.nnz if c else "-",
-                c.delta_nnz if c else "-",
-                c.levels if c else "-",
-                f"{c.csr_s * 1e6:.1f}" if c else "-",
-                f"{c.cbm_s * 1e6:.1f}" if c else "-",
-                b.fmt,
-            ]
-        )
-    print(
-        format_table(
-            ["block", "rows", "nnz", "deltas", "levels", "csr(us)", "cbm(us)", "choice"],
-            rows,
-            title=f"{name}: router block map (p={args.columns}, alpha={args.alpha})",
-        )
-    )
-    pred = routed.predicted
-    print(f"  predicted             csr {pred.get('csr', 0.0) * 1e6:.1f} us   "
-          f"cbm {pred.get('cbm', 0.0) * 1e6:.1f} us   "
-          f"routed {pred.get('routed', 0.0) * 1e6:.1f} us")
-    if report.candidates:
-        meas = "   ".join(
-            f"{k} {v * 1e6:.1f} us" for k, v in sorted(report.candidates.items())
-        )
-        print(f"  measured              {meas}")
-    suffix = " (pinned)" if args.pin else ("" if report.measured else " (model only)")
-    print(f"  chosen route          {report.chosen}{suffix}")
-    print(f"  tune wall time        {human_time(report.seconds)}")
+    slot = AdjacencySlot.from_graph(a, alpha=args.alpha, normalized=True)
+    route = slot.tune(args.columns)
+    cbm_s, csr_s = slot.raced_s["cbm"], slot.raced_s["csr"]
+    print(f"{name}: CBM(DAD) vs float32 CSR (p={args.columns}, alpha={args.alpha})")
+    print(f"  cbm    {human_time(cbm_s)}")
+    print(f"  csr    {human_time(csr_s)}")
+    print(f"  route  {route} ({max(cbm_s, csr_s) / min(cbm_s, csr_s):.2f}x faster)")
     if args.json:
         payload = {
             "graph": name,
             "alpha": args.alpha,
-            **report.to_dict(),
-            "table": [b.to_dict() for b in routed.blocks],
+            "width": slot.tuned_width,
+            "route": route,
+            "cbm_s": cbm_s,
+            "csr_s": csr_s,
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
         print(f"  report written to {args.json}")
     return 0
-
-
-def cmd_tune_soak(args) -> int:
-    """Workload-shift soak of the format autotuner (repro.autotune.soak).
-
-    The initial tune is sabotaged by a lying cost model; the watchdog
-    must catch the misprediction, re-tune in the background with zero
-    dropped or wrong requests, and converge back to within tolerance of
-    the best static format.  Adversarial structure mutations then shift
-    the workload and the drift trigger must fire a second re-tune.  With
-    ``--pin FORMAT`` the negative control runs: the route is pinned, the
-    retuner disabled, and a wrong pin must FAIL the convergence gate.
-    """
-    import json
-
-    from repro.autotune import run_tune_soak
-
-    a = None
-    if args.graph:
-        _, a = _load_graph(args.graph)
-
-    def progress(msg):
-        if args.verbose:
-            print(f"  {msg}")
-
-    report = run_tune_soak(
-        a,
-        seed=args.seed,
-        columns=args.columns,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        mutation_batches=args.mutations,
-        scatter_edges=args.edges,
-        lie_factor=args.lie_factor,
-        pin_format=args.pin,
-        convergence_tolerance=args.tolerance,
-        min_requests=args.min_requests,
-        progress=progress,
-    )
-    w = report["workload"]
-    mode = (
-        f", pinned {w['pin_format']}" if w["pin_format"]
-        else f", lie x{w['lie_factor']:g}"
-    )
-    print(f"tune soak — {w['nodes']} nodes, {w['nnz_initial']} edges, "
-          f"{w['clients']} clients{mode} ({report['elapsed_s']:.1f}s)")
-    print(f"  requests served        {report['requests']} "
-          f"(verified {report['verified_ok']}, wrong {report['wrong']}, "
-          f"hung {report['hung']}, dropped {report['dropped']}, "
-          f"errors {report['errors']})")
-    print(f"  route                  {report['initial_route']} -> "
-          f"{report['served_route']}")
-    print(f"  re-tunes               {report['retunes']} "
-          f"({', '.join(report['retune_reasons']) or 'none'})")
-    race = "   ".join(
-        f"{k} {v * 1e6:.1f} us"
-        for k, v in sorted(report["final_candidates"].items())
-    )
-    print(f"  final race             {race}")
-    print(f"  served vs best static  {report['served_s'] * 1e6:.1f} / "
-          f"{report['best_static_s'] * 1e6:.1f} us")
-    for key, ok in report["checks"].items():
-        print(f"  {'PASS' if ok else 'FAIL'}  {key}")
-    for v in report["violations"]:
-        print(f"  violation: {v}")
-    print(f"  {'OK' if report['ok'] else 'FAIL'}: "
-          f"{len(report['violations'])} violation(s)")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True, default=str)
-        print(f"  report written to {args.json}")
-    return 0 if report["ok"] else 1
 
 
 def cmd_verify(args) -> int:
@@ -1253,52 +1105,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tune",
-        help="route a graph through the format autotuner: calibrated "
-        "per-block CBM-vs-CSR decision table with predicted vs measured "
-        "costs, and the chosen route",
+        help="race the GCN serving slot's CBM(DAD) plan against float32 "
+        "CSR at one operand width and print both times and the route",
     )
-    p.add_argument("graph", help="dataset name, 'mixed[:N]', or .mtx path")
+    p.add_argument("graph", help="dataset name or .mtx path")
     p.add_argument("-a", "--alpha", type=int, default=0)
     p.add_argument("-p", "--columns", type=int, default=8)
-    p.add_argument("--pin", choices=("csr", "cbm"), default=None,
-                   help="skip the race and force this route")
-    p.add_argument("--no-measure", action="store_true",
-                   help="trust the cost model alone (skip the measurement race)")
-    p.add_argument("--json", help="write the full JSON report here")
+    p.add_argument("--json", help="write the race result here")
     p.set_defaults(fn=cmd_tune)
-
-    p = sub.add_parser(
-        "tune-soak",
-        help="workload-shift soak of the format autotuner: chaos-lying "
-        "cost model + adversarial structure mutations; the misprediction "
-        "watchdog must re-tune with zero dropped/wrong requests and "
-        "converge to the best static format (nonzero exit otherwise)",
-    )
-    p.add_argument("--graph", default=None,
-                   help="dataset name, 'mixed[:N]', or .mtx path "
-                   "(default: mixed-structure graph)")
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("-p", "--columns", type=int, default=8)
-    p.add_argument("--clients", type=int, default=3)
-    p.add_argument("--requests", type=int, default=60,
-                   help="storm-phase requests per client")
-    p.add_argument("--mutations", type=int, default=3,
-                   help="adversarial scatter batches in the drift phase")
-    p.add_argument("--edges", type=int, default=64,
-                   help="scatter edges per mutation batch")
-    p.add_argument("--lie-factor", type=float, default=16.0,
-                   help="how optimistically the chaos model misprices the "
-                   "victim format's rates")
-    p.add_argument("--tolerance", type=float, default=0.15,
-                   help="served-vs-best-static convergence tolerance")
-    p.add_argument("--min-requests", type=int, default=120,
-                   help="fail the soak if fewer requests were served")
-    p.add_argument("--pin", choices=("csr", "cbm"), default=None,
-                   help="negative control: pin the route and disable the "
-                   "retuner; a wrong pin must then FAIL")
-    p.add_argument("--json", help="write the full JSON report here")
-    p.add_argument("--verbose", action="store_true", help="print phase progress")
-    p.set_defaults(fn=cmd_tune_soak)
 
     p = sub.add_parser(
         "shard-soak",

@@ -72,20 +72,6 @@ def cbm_spmm_ops(
     return OpCount(multiply_stage=mul, update_stage=upd)
 
 
-def csr_rows_spmm_ops(nnz: int, p: int) -> OpCount:
-    """CSR SpMM cost of a row range holding ``nnz`` stored elements.
-
-    The per-row-block form of :func:`csr_spmm_ops`, used by the format
-    router to price a candidate CSR-routed block without materialising
-    the row slice.
-    """
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
-    if nnz < 0:
-        raise ValueError(f"nnz must be non-negative, got {nnz}")
-    return OpCount(multiply_stage=2 * int(nnz) * p, update_stage=0)
-
-
 def cbm_rows_spmm_ops(
     delta_nnz: int, tree_edges: int, p: int, *, variant: str = "A"
 ) -> OpCount:

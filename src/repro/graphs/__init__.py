@@ -26,7 +26,6 @@ from repro.graphs.generators import (
     coauthor_graph,
     copapers_graph,
     erdos_renyi_graph,
-    mixed_structure_graph,
     ppi_graph,
     rmat_graph,
     sbm_graph,
@@ -63,7 +62,6 @@ __all__ = [
     "citation_graph",
     "coauthor_graph",
     "copapers_graph",
-    "mixed_structure_graph",
     "ppi_graph",
     "rmat_graph",
     "sbm_graph",

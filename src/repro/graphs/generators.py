@@ -290,53 +290,6 @@ def copapers_graph(
     return adjacency_from_edges(edges, n_papers)
 
 
-def mixed_structure_graph(
-    n: int,
-    *,
-    clique_size: int = 32,
-    window: int = 16,
-    shift: int = 7,
-    seed=None,
-) -> CSRMatrix:
-    """Half clique-structured, half chain-structured: no single format wins.
-
-    Rows ``[0, n/2)`` are disjoint ``clique_size``-cliques — near-identical
-    rows, the regime where CBM's delta encoding pays off ~5×.  Rows
-    ``[n/2, n)`` are a sliding-window band: row ``i`` connects to the
-    ``window`` ids starting at ``n/2 + ((i - n/2) * shift mod span)``.
-    Consecutive rows overlap in ``window - shift`` columns — enough
-    marginal savings for the greedy builder to chain them into one deep
-    compression tree, whose per-level dispatch cost makes CBM *lose* to
-    CSR on that half.  A format router should serve the clique half from
-    CBM and the band half from CSR; either pure format leaves one half
-    on the table.  Deliberately not in the dataset registry (it models a
-    workload mix, not one of the paper's eight datasets).
-    """
-    check_positive(n, "n")
-    check_positive(clique_size, "clique_size")
-    check_positive(window, "window")
-    check_positive(shift, "shift")
-    if n < 2 * max(clique_size, window + 1):
-        raise ValueError(
-            f"n={n} too small for clique_size={clique_size}, window={window}"
-        )
-    half = n // 2
-    cliques = [
-        np.arange(lo, min(lo + clique_size, half), dtype=np.int64)
-        for lo in range(0, half, clique_size)
-    ]
-    chunks = [_edges_from_cliques(cliques)]
-    span = n - half
-    rows = np.arange(half, n, dtype=np.int64)
-    starts = half + ((rows - half) * shift) % max(span - window, 1)
-    offsets = np.arange(window, dtype=np.int64)
-    u = np.repeat(rows, window)
-    v = (starts[:, None] + offsets[None, :]).reshape(-1)
-    chunks.append(np.column_stack([u, v]))
-    edges = np.concatenate(chunks, axis=0)
-    return adjacency_from_edges(edges, n)
-
-
 def ppi_graph(
     n: int,
     avg_degree: float = 100.0,

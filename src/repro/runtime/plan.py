@@ -391,9 +391,9 @@ class KernelPlan:
         :meth:`execute` at the given operand width.
 
         Priced from the *built* plan (operand nnz, scheduled tree
-        edges), so the format autotuner's misprediction residuals
-        compare measured time against the cost of the schedule that
-        actually ran, not the router's pre-build estimate.
+        edges), so it counts the work of the schedule that actually
+        runs; the traced end-to-end benchmark reports it as the runtime
+        layer's multiply/update op counts.
         """
         from repro.core.opcount import cbm_rows_spmm_ops
 

@@ -232,19 +232,6 @@ class CircuitBreaker:
         nothing surfaces to callers."""
         self.record(self.tier, False)
 
-    def reset_window(self, *, reason: str = "") -> None:
-        """Forget the recent-outcome window without changing state or tier.
-
-        Called when the served plan changes (a re-tune published a new
-        route): failures priced against the *old* plan must not count
-        toward tripping the new one.  The state machine is untouched —
-        a breaker that already degraded stays degraded and must earn its
-        way back through probes as usual.
-        """
-        with self._lock:
-            self._outcomes.clear()
-            self._record_transition(f"window_reset:{reason}" if reason else "window_reset")
-
     # ------------------------------------------------------------------
     def describe(self) -> dict:
         with self._lock:

@@ -41,6 +41,7 @@ from repro.errors import (
     ServiceUnavailable,
     ShapeError,
 )
+from repro.gnn.adjacency import CSRAdjacency
 from repro.reliability.guard import GuardedAdjacency, GuardedKernel, GuardStats
 from repro.serving.backoff import RetryPolicy, is_transient
 from repro.serving.batching import (
@@ -55,6 +56,7 @@ from repro.serving.breaker import CircuitBreaker, ServeTier
 from repro.serving.deadline import Deadline
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import spmm, spmv
+from repro.utils.timing import interleaved_best
 from repro.utils.validation import all_finite, check_positive
 
 
@@ -80,8 +82,6 @@ class ServiceStats:
         "batches",
         "coalesced",
         "batch_victims",
-        "retunes",
-        "autotune_attach_failures",
     )
 
     def __init__(self) -> None:
@@ -190,13 +190,12 @@ class AdjacencySlot:
         # (set by repro.streaming publishers; None for static slots).
         self.tracker = tracker
         self.graph_version: int | None = None
-        # Autotune state (repro.autotune): the routed executor serving
-        # the FAST tier when the tuner chose csr/hybrid, the decision it
-        # executes, and when it was tuned.  None = pure-CBM route (the
-        # pre-autotune behaviour, byte for byte).
-        self.hybrid = None
-        self.tune_decision = None
-        self.tuned_at: float | None = None
+        # Set by tune(): the operand width of the race (None = never
+        # tuned), each format's best measured seconds, and the float32
+        # CSR operator the FAST tier serves when CSR won.
+        self.tuned_width: int | None = None
+        self.raced_s: dict[str, float] = {}
+        self.csr: CSRAdjacency | None = None
         # (store, index) pin held while this slot serves a store-backed
         # generation — released by retire() so retention pruning can
         # reclaim the directory only after the slot stops serving it.
@@ -237,21 +236,41 @@ class AdjacencySlot:
         plan = self.cbm.plan()
         if width is not None:
             plan.pool.warm((self.cbm.shape[0], int(width)), np.float32, count=1)
-        if self.hybrid is not None and width is not None:
-            self.hybrid.prepare(int(width))
 
     @property
     def route(self) -> str:
-        """The serving route of the FAST tier: ``cbm``, ``csr``, or ``hybrid``."""
-        if self.hybrid is None:
-            return "cbm"
-        return self.hybrid.route
+        """The FAST tier's format: ``csr`` once :meth:`tune` measured it
+        faster, else ``cbm``."""
+        return "cbm" if self.csr is None else "csr"
 
-    def apply_tune(self, decision, hybrid, *, tuned_at: float | None = None) -> None:
-        """Attach a tuner decision (and its executor, if non-pure-CBM)."""
-        self.tune_decision = decision
-        self.hybrid = hybrid
-        self.tuned_at = tuned_at
+    def tune(self, width: int) -> str:
+        """Race the CBM plan against float32 CSR at ``width`` columns.
+
+        Both formats multiply the same random operand, interleaved round
+        by round; the faster one becomes :attr:`route` and is returned.
+        The CSR candidate is a float32 copy of ``source``, so either
+        route serves float32.  Call before the slot takes traffic.
+        """
+        check_positive(width, "width")
+        width = int(width)
+        m = self.source
+        data = np.asarray(m.data, dtype=np.float32)
+        csr = CSRAdjacency(CSRMatrix(m.indptr, m.indices, data, m.shape, check=False))
+        csr.prepare()
+        plan = self.cbm.plan()
+        rng = np.random.default_rng(0)
+        b = rng.standard_normal((m.shape[1], width)).astype(np.float32)
+        out = plan.out_buffer(width)
+        try:
+            raced = interleaved_best(
+                {"cbm": lambda: plan.execute(b, out=out), "csr": lambda: csr.matmul(b)}
+            )
+        finally:
+            plan.release(out)
+        self.csr = csr if raced["csr"] < raced["cbm"] else None
+        self.tuned_width = width
+        self.raced_s = raced
+        return self.route
 
     def retire(self) -> int:
         """Drain the retiring matrix's pooled workspaces; return bytes freed.
@@ -264,10 +283,7 @@ class AdjacencySlot:
         if pin is not None:
             store, index = pin
             store.release(index)
-        freed = self.cbm.drain_workspaces()
-        if self.hybrid is not None:
-            freed += self.hybrid.drain()
-        return freed
+        return self.cbm.drain_workspaces()
 
 
 class InferenceService:
@@ -367,7 +383,6 @@ class InferenceService:
         self._ewma_lock = threading.Lock()
         self._seed = seed
         self._started = False
-        self._last_retune: dict | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -594,7 +609,6 @@ class InferenceService:
         x = req.x
         if tier is ServeTier.DEGRADED:
             if self.weights is not None:
-                from repro.gnn.adjacency import CSRAdjacency
                 from repro.gnn.gcn import two_layer_gcn_inference
 
                 y = two_layer_gcn_inference(
@@ -619,12 +633,11 @@ class InferenceService:
                 )
             return y
         guarded = tier is ServeTier.GUARDED
-        if not guarded and slot.hybrid is not None:
-            # Tuned FAST tier: the routed executor (per-block CBM/CSR).
-            # GUARDED keeps the guarded-CBM kernel and DEGRADED the CSR
-            # reference, so the breaker ladder still ends at the exact
-            # reference product whatever the router decided.
-            return self._compute_hybrid(slot, x, req.vector)
+        if not guarded and slot.route == "csr":
+            # Tuned FAST tier: the race chose float32 CSR.  GUARDED keeps
+            # the guarded-CBM kernel and DEGRADED the CSR reference, so
+            # the breaker ladder is the same whichever format won.
+            return self._compute_csr(slot, x)
         guard = GuardedKernel(
             slot.cbm,
             source=slot.source if guarded else None,
@@ -647,26 +660,20 @@ class InferenceService:
             return guard.matvec(x.astype(np.float32, copy=False))
         return guard.matmul(x.astype(np.float32, copy=False))
 
-    def _compute_hybrid(self, slot: AdjacencySlot, x, vector: bool) -> np.ndarray:
-        """FAST-tier forward through the tuned hybrid/CSR executor.
+    def _compute_csr(self, slot: AdjacencySlot, x) -> np.ndarray:
+        """FAST-tier forward through the slot's float32 CSR operator.
 
         A non-finite product raises :class:`NumericalError` like every
         other tier, so the breaker records the failure and retries land
-        on GUARDED — a broken hybrid plan degrades, never serves junk.
+        on GUARDED.
         """
-        hybrid = slot.hybrid
         x = np.asarray(x, dtype=np.float32)
         if self.weights is not None:
-            from repro.autotune.hybrid import HybridAdjacency
             from repro.gnn.gcn import two_layer_gcn_inference
 
-            y = two_layer_gcn_inference(HybridAdjacency(hybrid), x, *self.weights)
-        elif vector:
-            y = hybrid.matvec(x)
+            y = two_layer_gcn_inference(slot.csr, x, *self.weights)
         else:
-            out = hybrid.matmul(x)
-            y = np.array(out, copy=True)
-            hybrid.release(out)
+            y = slot.csr.matmul(x)
         if self.validate and not all_finite(y):
             if not all_finite(x):
                 err = NumericalError(
@@ -676,7 +683,7 @@ class InferenceService:
                 err.input_rejection = True
                 slot.stats.record_input_rejection()
                 raise err
-            raise NumericalError("hybrid-routed product is non-finite")
+            raise NumericalError("CSR-routed product is non-finite")
         return y
 
     def _observe_latency(self, seconds: float) -> None:
@@ -785,15 +792,12 @@ class InferenceService:
             for req, (lo, hi) in zip(members, layout.spans()):
                 col = np.asarray(req.x, dtype=np.float32)
                 xs[:, lo:hi] = col[:, None] if req.vector else col
-            hybrid_fast = tier is ServeTier.FAST and slot.hybrid is not None
+            csr_fast = tier is ServeTier.FAST and slot.route == "csr"
             if tier is ServeTier.DEGRADED:
                 def product(arr: np.ndarray) -> np.ndarray:
                     return spmm(slot.source, arr)
-            elif hybrid_fast:
-                hybrid = slot.hybrid
-
-                def product(arr: np.ndarray) -> np.ndarray:
-                    return hybrid.matmul(arr)
+            elif csr_fast:
+                product = slot.csr.matmul
             else:
                 guarded = tier is ServeTier.GUARDED
                 guard = GuardedKernel(
@@ -826,10 +830,9 @@ class InferenceService:
                     ]
                 finally:
                     plan.release(ys)
-            if (tier is ServeTier.DEGRADED or hybrid_fast) and self.validate:
-                # The guarded tiers validate inside GuardedKernel; the CSR
-                # reference and tuned-hybrid tiers validate here,
-                # mirroring _compute.
+            if (tier is ServeTier.DEGRADED or csr_fast) and self.validate:
+                # The guarded tiers validate inside GuardedKernel; the two
+                # CSR tiers validate here, mirroring _compute.
                 if not all(all_finite(y) for y in outs):
                     if not all_finite(xs):
                         err = NumericalError(
@@ -1005,11 +1008,15 @@ class InferenceService:
         The new slot's plan is built (and optionally warmed) *before* it
         takes traffic; in-flight requests finish on the old slot (each
         request reads the slot reference once), and the old plans' idle
-        workspaces are drained.  Returns a summary dict.
+        workspaces are drained.  An untuned slot replacing a tuned one is
+        raced at the outgoing slot's width first, so no swap path can
+        drop a format choice.  Returns a summary dict.
         """
         with self._swap_lock:
-            slot.prepare(width=warm_width)
             old = self._slot
+            if slot.tuned_width is None and old.tuned_width is not None:
+                slot.tune(old.tuned_width)
+            slot.prepare(width=warm_width)
             slot.generation = old.generation + 1
             self._slot = slot
             self.stats.bump("swaps")
@@ -1092,21 +1099,6 @@ class InferenceService:
             if isinstance(meta, dict) and "graph_version" in meta:
                 version = meta["graph_version"]
                 slot.graph_version = int(version) if version is not None else None
-            if isinstance(meta, dict) and isinstance(meta.get("autotune"), dict):
-                # Re-attach the generation's tuned route: rebuild the
-                # decision + hybrid executor from the committed block
-                # map, so a re-tune published through the store swaps in
-                # with its routing intact.
-                try:
-                    self._attach_autotune(slot, meta["autotune"])
-                except ReproError as exc:
-                    # A stale/badly-shaped block map must not block the
-                    # swap: the slot falls back to the pure-CBM route
-                    # (always correct) and the mismatch is counted.
-                    self.stats.bump("autotune_attach_failures")
-                    slot.hybrid = None
-                    slot.tune_decision = None
-                    last_exc = exc
             try:
                 summary = self.swap_slot(slot, warm_width=warm_width)
             except Exception:
@@ -1123,71 +1115,27 @@ class InferenceService:
         )
         raise err from last_exc
 
-    @staticmethod
-    def _attach_autotune(slot: AdjacencySlot, meta: dict) -> None:
-        """Rebuild a committed ``meta["autotune"]`` decision onto a slot."""
-        from repro.autotune.cost import CostModel
-        from repro.autotune.router import TuneDecision
-        from repro.autotune.tune import build_hybrid
-
-        decision = TuneDecision.from_meta(meta)
-        if decision.blocks and decision.n_rows != slot.cbm.shape[0]:
-            raise ShapeError(
-                f"autotune block map covers {decision.n_rows} rows, "
-                f"generation has {slot.cbm.shape[0]} — stale map"
-            )
-        model = None
-        if isinstance(meta.get("model"), dict):
-            model = CostModel.from_dict(meta["model"])
-        slot.apply_tune(
-            decision,
-            build_hybrid(slot.cbm, slot.source, decision, model=model),
-            tuned_at=meta.get("tuned_at"),
-        )
-
     def current_slot(self) -> AdjacencySlot:
-        """The live serving slot (the background retuner's tune target)."""
+        """The live serving slot."""
         return self._slot
-
-    def note_retune(self, *, reason: str = "", report=None) -> None:
-        """Record a completed re-tune and clear stale failure state.
-
-        The breaker's failure window priced the *old* plan; carrying it
-        into the new plan's first requests would double-punish a slot
-        that was just fixed, so the window resets (state machine and
-        transition log are preserved).  The fresh slot's TuneStats ring
-        starts empty by construction.
-        """
-        self.stats.bump("retunes")
-        self._last_retune = {
-            "at": time.time(),
-            "reason": reason,
-            "chosen": getattr(report, "chosen", None),
-        }
-        self.breaker.reset_window(reason=f"retune:{reason}" if reason else "retune")
 
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
-    def _format_health(self, slot: AdjacencySlot) -> dict:
-        """Per-slot format/tuning block of :meth:`health` and :meth:`describe`."""
-        hybrid = slot.hybrid
+    @staticmethod
+    def _format_health(slot: AdjacencySlot) -> dict:
+        """Per-slot format block of :meth:`health` and :meth:`describe`."""
         return {
             "route": slot.route,
-            "blocks": (
-                hybrid.block_map()
-                if hybrid is not None
-                else [[0, slot.cbm.shape[0], "cbm"]]
-            ),
-            "tuned_at": slot.tuned_at,
-            "tune": hybrid.stats.snapshot() if hybrid is not None else None,
-            "last_retune": self._last_retune,
+            "tuned_width": slot.tuned_width,
+            "cbm_s": slot.raced_s.get("cbm"),
+            "csr_s": slot.raced_s.get("csr"),
         }
 
     def describe(self) -> dict:
-        """Operator-facing snapshot: slot, route, and tuning decision detail."""
+        """Operator-facing snapshot: slot, format route, and breaker."""
         slot = self._slot
-        d = {
+        return {
             "state": self._state,
             "generation": slot.generation,
             "shape": list(slot.cbm.shape),
@@ -1196,11 +1144,6 @@ class InferenceService:
             "format": self._format_health(slot),
             "breaker": self.breaker.describe(),
         }
-        if slot.hybrid is not None:
-            d["hybrid"] = slot.hybrid.describe()
-        if slot.tune_decision is not None:
-            d["decision"] = slot.tune_decision.to_meta()
-        return d
 
     def health(self) -> dict:
         """Liveness + readiness + the counters an operator would page on."""

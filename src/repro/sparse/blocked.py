@@ -87,36 +87,6 @@ def partition_rows(row_cost, num_shards: int) -> list[tuple[int, int]]:
     return [(int(edges[s]), int(edges[s + 1])) for s in range(num_shards)]
 
 
-def coalesce_bounds(
-    bounds: list[tuple[int, int]], *, min_rows: int = 1
-) -> list[tuple[int, int]]:
-    """Merge adjacent row blocks until every kept block has ``min_rows``.
-
-    :func:`partition_rows` legitimately emits empty ``(i, i)`` blocks
-    when there are fewer rows than shards; a format router cannot use
-    those (an empty block has no format to choose and would audit as a
-    zero-width span).  Folding a too-small block into its left neighbour
-    preserves coverage and order; the last block absorbs any remainder.
-    """
-    check_positive(min_rows, "min_rows")
-    merged: list[tuple[int, int]] = []
-    for lo, hi in bounds:
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ShapeError(f"invalid block ({lo}, {hi})")
-        if merged:
-            if merged[-1][1] != lo:
-                raise ShapeError("bounds must be contiguous and ordered")
-            if merged[-1][1] - merged[-1][0] < min_rows or hi - lo < min_rows:
-                merged[-1] = (merged[-1][0], hi)
-                continue
-        merged.append((lo, hi))
-    while len(merged) > 1 and merged[-1][1] - merged[-1][0] < min_rows:
-        merged[-2] = (merged[-2][0], merged[-1][1])
-        merged.pop()
-    return merged
-
-
 def spmm_blocked(
     a: CSRMatrix,
     b: np.ndarray,

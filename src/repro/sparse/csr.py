@@ -151,26 +151,6 @@ class CSRMatrix:
         )
         return CSRMatrix(indptr, indices, data, (len(rows), self.shape[1]), check=False)
 
-    def extract_row_range(self, lo: int, hi: int) -> "CSRMatrix":
-        """Contiguous row slice ``[lo, hi)`` without per-row gathers.
-
-        Equivalent to ``extract_rows(range(lo, hi))`` but O(block nnz)
-        with three array slices — the hybrid format router slices every
-        block of the adjacency this way at plan time.
-        """
-        lo, hi = int(lo), int(hi)
-        if lo < 0 or hi < lo or hi > self.shape[0]:
-            raise ShapeError(f"row range [{lo}, {hi}) out of range for {self.shape}")
-        start, stop = int(self.indptr[lo]), int(self.indptr[hi])
-        indptr = (self.indptr[lo:hi + 1] - start).astype(np.int64)
-        return CSRMatrix(
-            indptr,
-            self.indices[start:stop],
-            self.data[start:stop],
-            (hi - lo, self.shape[1]),
-            check=False,
-        )
-
     def copy(self) -> "CSRMatrix":
         return CSRMatrix(
             self.indptr.copy(), self.indices.copy(), self.data.copy(), self.shape, check=False

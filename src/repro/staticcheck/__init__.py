@@ -65,11 +65,8 @@ from repro.staticcheck.ir import (
     PlanIR,
     SpanPolicy,
     Stage,
-    analyze_hybrid_plan,
     analyze_ir,
-    hybrid_rows_policy,
     lower_batch_layout,
-    lower_hybrid_plan,
     lower_kernel_plan,
     lower_shard_plan,
     lower_stream_swap,
@@ -105,7 +102,6 @@ __all__ = [
     "analyze_batch_layout",
     "analyze_branches",
     "analyze_hb",
-    "analyze_hybrid_plan",
     "analyze_ir",
     "analyze_level_schedule",
     "analyze_locks",
@@ -122,9 +118,7 @@ __all__ = [
     "lint_paths_with_baseline",
     "lint_source",
     "load_baseline",
-    "hybrid_rows_policy",
     "lower_batch_layout",
-    "lower_hybrid_plan",
     "lower_kernel_plan",
     "lower_shard_plan",
     "lower_stream_swap",

@@ -393,17 +393,6 @@ def shard_segment_policy() -> SpanPolicy:
     )
 
 
-def hybrid_rows_policy() -> SpanPolicy:
-    return SpanPolicy(
-        overlap=("HZ-H202", "hybrid.disjoint"),
-        invalid=("HZ-H202", "hybrid.disjoint"),
-        gap=("HZ-H201", "hybrid.coverage"),
-        filter_invalid=True,
-        gap_mode="cursor",
-        noun="format block",
-    )
-
-
 def batch_columns_policy() -> SpanPolicy:
     return SpanPolicy(
         overlap=("HZ-X001", "batch.disjoint"),
@@ -529,96 +518,6 @@ def lower_shard_plan(
                   label="parent packs operands into segments")
         )
     return ir
-
-
-def lower_hybrid_plan(
-    hybrid=None,
-    *,
-    blocks=None,
-    n_rows: int | None = None,
-    subject: str = "hybrid-plan",
-) -> PlanIR:
-    """Lower a :class:`~repro.autotune.hybrid.HybridPlan` into the IR.
-
-    The hybrid executor's contract is the shard supervisor's stitch
-    discipline on one thread: every block — CBM kernel or CSR row
-    slice — writes exactly its ``[lo, hi)`` span of the pooled output,
-    and the spans tile the matrix.  An overlap means two formats fight
-    over rows (HZ-H202); a gap means rows nobody computes are served
-    from recycled pool memory (HZ-H201).  Accepts either the live
-    executor (``hybrid``) or a raw ``(lo, hi, fmt)`` block map.
-    """
-    if hybrid is not None:
-        blocks = hybrid.block_map()
-        n_rows = hybrid.shape[0]
-    blocks = [(int(lo), int(hi), str(fmt)) for lo, hi, fmt in (blocks or [])]
-    ir = PlanIR(subject=subject)
-    ir.add_buffer(
-        Buffer("out", size=n_rows, unit="row", policy=hybrid_rows_policy())
-    )
-    ir.add_buffer(Buffer("b", size=None, unit="row"))
-    for i, (lo, hi, fmt) in enumerate(blocks):
-        ir.add_stage(
-            Stage(
-                sid=f"block{i}",
-                lane="main",
-                reads=(Access("b", spans_of((0, max(n_rows or 0, 1))), mode="r"),),
-                writes=(Access("out", spans_of((lo, hi)), label=fmt),),
-                label=f"{fmt} block writes rows [{lo}, {hi})",
-            )
-        )
-    return ir
-
-
-def analyze_hybrid_plan(hybrid, decision=None, *, subject: str = "hybrid-plan"):
-    """Audit a live hybrid executor, optionally against its committed map.
-
-    Runs the span-discipline engine on the executor's actual blocks,
-    then cross-checks them against the :class:`TuneDecision` block map
-    the tuner committed (the one health endpoints and generation meta
-    advertise).  A decision that no longer describes the executor is a
-    *stale map* (HZ-H201 — operators and the re-tune hysteresis would
-    reason from fiction); a block executing a different format than the
-    decision routed is *mis-routed* (HZ-H203) unless it is the
-    documented zero-nnz CSR fallback.
-    """
-    report = analyze_ir(lower_hybrid_plan(hybrid, subject=subject))
-    if decision is None:
-        decision = getattr(hybrid, "decision", None)
-    if decision is None:
-        return report
-    executor = [(b.lo, b.hi, b.fmt) for b in hybrid.blocks]
-    declared = [(int(lo), int(hi), str(fmt)) for lo, hi, fmt in decision.block_map()]
-    if [(lo, hi) for lo, hi, _ in executor] != [(lo, hi) for lo, hi, _ in declared]:
-        report.add(
-            "HZ-H201",
-            f"committed block map {[(lo, hi) for lo, hi, _ in declared]} does not "
-            f"describe the executor's spans "
-            f"{[(lo, hi) for lo, hi, _ in executor]} — stale map",
-        )
-        report.failed("hybrid.map_current")
-        return report
-    report.passed("hybrid.map_current")
-    misrouted = False
-    for blk, (lo, hi, fmt) in zip(hybrid.blocks, declared):
-        if blk.fmt == fmt:
-            continue
-        if (
-            fmt == "cbm"
-            and blk.fmt == "csr"
-            and getattr(getattr(blk, "_rows", None), "nnz", None) == 0
-        ):
-            continue  # documented fallback: empty blocks execute as CSR
-        misrouted = True
-        report.add(
-            "HZ-H203",
-            f"block [{lo}, {hi}) executes as {blk.fmt!r} but the decision "
-            f"routed it to {fmt!r} — mis-routed block",
-        )
-        report.failed("hybrid.routing")
-    if not misrouted:
-        report.passed("hybrid.routing")
-    return report
 
 
 def lower_kernel_plan(

@@ -42,27 +42,16 @@ class DriftPolicy:
     ``columns`` is the operand width the op model is priced at (both
     sides scale linearly in it, so it only matters for readability of
     the reported numbers).
-
-    ``retune_drift``, when set, arms a *format re-tune* trigger distinct
-    from the rebuild trigger: drift past it means the structure shifted
-    enough that the CBM-vs-CSR routing decision itself may be stale, not
-    just the tree.  The :class:`~repro.autotune.watchdog.Retuner` polls
-    it via :meth:`DriftTracker.should_retune`.
     """
 
     max_drift: float = 0.25
     staleness_budget: int = 64
     enforce: bool = False
     columns: int = 1
-    retune_drift: float | None = None
 
     def __post_init__(self):
         if self.max_drift < 0:
             raise ValueError(f"max_drift must be >= 0, got {self.max_drift}")
-        if self.retune_drift is not None and self.retune_drift < 0:
-            raise ValueError(
-                f"retune_drift must be >= 0 or None, got {self.retune_drift}"
-            )
         if self.staleness_budget < 1:
             raise ValueError(
                 f"staleness_budget must be >= 1, got {self.staleness_budget}"
@@ -87,8 +76,6 @@ class DriftTracker:
         self._edges_since_rebuild = 0
         self._rebuilds = 0
         self._replayed_total = 0
-        self._retune_pending = False
-        self._retunes_signalled = 0
 
     def _ops(self, cbm) -> int:
         return int(
@@ -116,7 +103,6 @@ class DriftTracker:
             self._patches_since_rebuild = 0
             self._edges_since_rebuild = 0
             self._replayed_total += int(replayed)
-            self._retune_pending = False  # fresh tree re-prices everything
 
     def note_patch(self, cbm, *, version: int, edges: int) -> None:
         """Record one applied patch batch and reprice the live matrix."""
@@ -128,15 +114,6 @@ class DriftTracker:
             self._version = int(version)
             self._patches_since_rebuild += 1
             self._edges_since_rebuild += int(edges)
-            p = self.policy
-            if (
-                p.retune_drift is not None
-                and not self._retune_pending
-                and self._baseline_ops
-                and self._live_ops / self._baseline_ops - 1.0 > p.retune_drift
-            ):
-                self._retune_pending = True
-                self._retunes_signalled += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -162,17 +139,6 @@ class DriftTracker:
             ):
                 return True
             return self._patches_since_rebuild >= p.staleness_budget
-
-    def should_retune(self) -> bool:
-        """True when compression decay armed the format re-tune trigger."""
-        with self._lock:
-            return self._retune_pending
-
-    def consume_retune(self) -> None:
-        """Acknowledge the trigger (the retuner took it); re-arms on the
-        next threshold crossing."""
-        with self._lock:
-            self._retune_pending = False
 
     def check_staleness(self) -> None:
         """Backpressure hook: raise when the enforced budget is spent."""
@@ -211,7 +177,4 @@ class DriftTracker:
                 "live_ops": self._live_ops,
                 "baseline_deltas": self._baseline_deltas,
                 "live_deltas": self._live_deltas,
-                "retune_drift": p.retune_drift,
-                "retune_pending": self._retune_pending,
-                "retunes_signalled": self._retunes_signalled,
             }

@@ -100,12 +100,6 @@ class BackgroundRebuilder:
         reference mappings atomically with the swap).
     max_depth / max_branch:
         Optional rebalance passes applied to each fresh build.
-    retuner:
-        Optional :class:`~repro.autotune.watchdog.Retuner`.  When the
-        tracker's ``retune_drift`` trigger arms, or right after a fresh
-        build publishes (the format decision was priced on the *old*
-        tree), the rebuilder pokes the retuner instead of re-tuning
-        inline — format selection stays off the rebuild path too.
     """
 
     def __init__(
@@ -120,13 +114,11 @@ class BackgroundRebuilder:
         payload: str = "adjacency.npz",
         warm_width: int | None = None,
         poll_interval_s: float = 0.02,
-        retuner=None,
     ):
         self.mutable = mutable
         self.store = store
         self.service = service
         self.publisher = publisher
-        self.retuner = retuner
         self.max_depth = max_depth
         self.max_branch = max_branch
         self.payload = payload
@@ -170,10 +162,6 @@ class BackgroundRebuilder:
             publish_snapshot(self.mutable, self.service, warm_width=self.warm_width)
             published = True
         t_end = time.perf_counter()
-        if published and self.retuner is not None:
-            # The serving format decision was priced on the old tree;
-            # ask the retuner to revalidate it against the fresh one.
-            self.retuner.trigger()
         report = RebuildReport(
             built_version=version,
             published_version=published_version,
@@ -223,13 +211,6 @@ class BackgroundRebuilder:
             tracker = self.mutable.tracker
             if tracker is None:
                 continue
-            if (
-                self.retuner is not None
-                and getattr(tracker, "should_retune", None)
-                and tracker.should_retune()
-            ):
-                # Wake the retuner early; it owns consuming the trigger.
-                self.retuner.poke()
             if not tracker.should_rebuild():
                 continue
             try:

@@ -6,6 +6,11 @@ single-core container that protocol is both too slow and too noisy, so
 ``max_repeats`` runs or ``min_total`` seconds of measurement have
 accumulated, whichever is later bounded.  The full sample vector is kept so
 benchmarks can report whatever statistic they want.
+
+:func:`interleaved_best` compares candidates instead of describing one:
+every round times each candidate once, in turn, so machine-state drift
+(frequency scaling, a noisy neighbour) lands on all of them alike rather
+than on whichever was timed in its own, quieter pass.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 
 @dataclass
@@ -95,3 +100,26 @@ def measure(
         out.samples.append(dt)
         total += dt
     return out
+
+
+#: Timed rounds of :func:`interleaved_best`.
+ROUNDS = 7
+
+
+def interleaved_best(candidates: Mapping[str, Callable[[], object]]) -> dict[str, float]:
+    """Race candidates round-robin; return each one's best time (seconds).
+
+    Every candidate runs once untimed to warm caches and lazy setup, then
+    each of :data:`ROUNDS` rounds times every candidate exactly once, in
+    mapping order.  The minimum per candidate is the least noise-inflated
+    estimate of its cost.
+    """
+    for fn in candidates.values():
+        fn()
+    best = {name: math.inf for name in candidates}
+    for _ in range(ROUNDS):
+        for name, fn in candidates.items():
+            t0 = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return best

@@ -304,205 +304,6 @@ class TestBranchMutations:
         assert report.ok, report.render()
 
 
-# --- hybrid block-map corruptions (autotune dialect) -------------------
-
-
-def _hybrid_gap(blocks, n):
-    lo, hi, fmt = blocks[-1]
-    blocks[-1] = (lo + 3, hi, fmt)
-    return "HZ-H201"
-
-
-def _hybrid_overlap(blocks, n):
-    lo, hi, fmt = blocks[-1]
-    blocks[-1] = (lo - 3, hi, fmt)
-    return "HZ-H202"
-
-
-def _hybrid_missing_tail(blocks, n):
-    blocks.pop()
-    return "HZ-H201"
-
-
-def _hybrid_missing_head(blocks, n):
-    lo, hi, fmt = blocks[0]
-    blocks[0] = (lo + 2, hi, fmt)
-    return "HZ-H201"
-
-
-def _hybrid_inverted_span(blocks, n):
-    lo, hi, fmt = blocks[0]
-    blocks[0] = (hi, lo, fmt)
-    return "HZ-H202"
-
-
-HYBRID_MAP_MUTATIONS = {
-    "gap": _hybrid_gap,
-    "overlap": _hybrid_overlap,
-    "missing_tail": _hybrid_missing_tail,
-    "missing_head": _hybrid_missing_head,
-    "inverted_span": _hybrid_inverted_span,
-}
-
-
-class TestHybridPlanMutations:
-    """The autotune dialect: every corruption of a hybrid executor's
-    block map — gap, overlap, stale committed map, mis-routed block —
-    must be killed by the span-discipline audit (HZ-H201/H202/H203),
-    while live executors built from real tune decisions pass clean."""
-
-    def _hybrid(self, name="citation", cut_at=0.5):
-        from repro.autotune import BlockDecision, HybridPlan, TuneDecision
-        from repro.core.builder import build_cbm as _build
-
-        a = _graph(name)
-        cbm, _ = _build(a, alpha=2)
-        n = a.shape[0]
-        cut = int(n * cut_at)
-        decision = TuneDecision(
-            blocks=[BlockDecision(0, cut, "cbm"), BlockDecision(cut, n, "csr")],
-            columns=4,
-        )
-        return HybridPlan(cbm, a, decision), decision, n
-
-    @pytest.mark.parametrize("name", GRAPHS)
-    def test_clean_executor_passes(self, name):
-        from repro.staticcheck import analyze_hybrid_plan
-
-        hybrid, decision, _ = self._hybrid(name)
-        try:
-            report = analyze_hybrid_plan(hybrid, decision, subject=name)
-            assert report.ok, report.render()
-            assert report.checks["hybrid.coverage"]
-            assert report.checks["hybrid.disjoint"]
-            assert report.checks["hybrid.map_current"]
-            assert report.checks["hybrid.routing"]
-        finally:
-            hybrid.drain()
-
-    @pytest.mark.parametrize("mutation", sorted(HYBRID_MAP_MUTATIONS))
-    def test_every_map_mutation_killed(self, mutation):
-        from repro.staticcheck import analyze_ir, lower_hybrid_plan
-
-        hybrid, _, n = self._hybrid()
-        blocks = [tuple(b) for b in hybrid.block_map()]
-        hybrid.drain()
-        expected = HYBRID_MAP_MUTATIONS[mutation](blocks, n)
-        report = analyze_ir(
-            lower_hybrid_plan(blocks=blocks, n_rows=n, subject=mutation)
-        )
-        assert not report.ok, f"{mutation} survived the hybrid audit"
-        assert report.has(expected), (
-            f"{mutation} expected {expected}, got "
-            f"{[f.code for f in report.findings]}"
-        )
-
-    def test_hybrid_kill_rate_is_100_percent(self):
-        from repro.staticcheck import analyze_ir, lower_hybrid_plan
-
-        hybrid, _, n = self._hybrid()
-        base = [tuple(b) for b in hybrid.block_map()]
-        hybrid.drain()
-        survivors = []
-        for mname, mutate in sorted(HYBRID_MAP_MUTATIONS.items()):
-            blocks = list(base)
-            mutate(blocks, n)
-            if analyze_ir(lower_hybrid_plan(blocks=blocks, n_rows=n)).ok:
-                survivors.append(mname)
-        assert not survivors, f"hybrid mutations not detected: {survivors}"
-
-    def test_stale_committed_map_killed(self):
-        from repro.autotune import BlockDecision, TuneDecision
-        from repro.staticcheck import analyze_hybrid_plan
-
-        hybrid, _, n = self._hybrid(cut_at=0.5)
-        stale = TuneDecision(
-            blocks=[
-                BlockDecision(0, n // 3, "cbm"),
-                BlockDecision(n // 3, n, "csr"),
-            ],
-            columns=4,
-        )
-        try:
-            report = analyze_hybrid_plan(hybrid, stale)
-            assert report.has("HZ-H201")
-            assert not report.checks["hybrid.map_current"]
-            msgs = " | ".join(f.message for f in report.findings)
-            assert "stale map" in msgs
-        finally:
-            hybrid.drain()
-
-    def test_misrouted_block_killed(self):
-        from repro.autotune import BlockDecision, TuneDecision
-        from repro.staticcheck import analyze_hybrid_plan
-
-        hybrid, decision, n = self._hybrid()
-        # Same spans, flipped formats: the executor no longer implements
-        # the committed routing.
-        flipped = TuneDecision(
-            blocks=[
-                BlockDecision(b.lo, b.hi, "csr" if b.fmt == "cbm" else "cbm")
-                for b in decision.blocks
-            ],
-            columns=4,
-        )
-        try:
-            report = analyze_hybrid_plan(hybrid, flipped)
-            assert report.has("HZ-H203")
-            assert not report.checks["hybrid.routing"]
-            msgs = " | ".join(f.message for f in report.findings)
-            assert "mis-routed" in msgs
-        finally:
-            hybrid.drain()
-
-    def test_zero_nnz_fallback_is_not_misroute(self):
-        from repro.autotune import BlockDecision, HybridPlan, TuneDecision
-        from repro.sparse.convert import from_dense
-        from repro.staticcheck import analyze_hybrid_plan
-
-        d = np.zeros((12, 12), dtype=np.float32)
-        d[:6, :6] = 1.0 - np.eye(6, dtype=np.float32)
-        a = from_dense(d)
-        cbm, _ = build_cbm(a, alpha=0)
-        decision = TuneDecision(
-            blocks=[BlockDecision(0, 6, "cbm"), BlockDecision(6, 12, "cbm")],
-            columns=2,
-        )
-        hybrid = HybridPlan(cbm, a, decision)
-        assert hybrid.blocks[1].fmt == "csr"  # the documented fallback
-        try:
-            report = analyze_hybrid_plan(hybrid, decision)
-            assert report.ok, report.render()
-            assert report.checks["hybrid.routing"]
-        finally:
-            hybrid.drain()
-
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        mutation=st.sampled_from(sorted(HYBRID_MAP_MUTATIONS)),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_random_map_random_mutation_killed(self, seed, mutation):
-        from repro.staticcheck import analyze_ir, lower_hybrid_plan
-
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(20, 200))
-        cuts = sorted(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
-        bounds = [0, *map(int, cuts), n]
-        blocks = [
-            (lo, hi, ["cbm", "csr"][int(rng.integers(2))])
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        if mutation in ("gap", "overlap") and blocks[-1][1] - blocks[-1][0] <= 3:
-            return  # span too narrow to shift by the mutation's offset
-        if mutation == "missing_head" and blocks[0][1] - blocks[0][0] <= 2:
-            return  # shrinking would invert the span instead of opening a gap
-        expected = HYBRID_MAP_MUTATIONS[mutation](blocks, n)
-        report = analyze_ir(lower_hybrid_plan(blocks=blocks, n_rows=n))
-        assert not report.ok
-        assert report.has(expected)
-
-
 # --- archive corruptions, end to end through the CLI ------------------
 
 
