@@ -5,24 +5,37 @@ directed, so the compression tree is a minimum-cost arborescence rooted at
 the virtual node.  This module implements Chu–Liu/Edmonds from scratch
 with full parent recovery:
 
-1.  Every non-root node picks its cheapest incoming edge (vectorised
-    argmin per destination).
+1.  Every non-root node picks its cheapest incoming edge: one lexsort of
+    all edges by (destination, weight, edge id).
 2.  If the picked edges are acyclic they form the arborescence.
 3.  Otherwise every cycle is contracted into a supernode, entering-edge
-    weights are reduced by the cycle edge they displace, and the algorithm
-    recurses on the contracted multigraph.  Expansion walks the
-    contraction levels backwards: inside each cycle all picked edges are
-    kept except the one entering the node where the external edge lands.
+    weights are reduced by the cycle edge they displace, and the loop
+    repeats on the contracted multigraph.  Expansion walks the
+    contractions backwards: inside each cycle all picked edges are kept
+    except the one entering the node where the external edge lands.
 
-Each contraction round is O(E) NumPy work; the number of rounds is bounded
-by the number of simultaneous cycles, small in practice.  Total complexity
-matches the paper's stated O(n² log n) bound on dense graphs and is far
-lower on the pruned graphs it is actually applied to.
+Each round touches only what the last contraction changed.  Contracting a
+cycle leaves every other node's incoming edges and their weights alone,
+so its pick carries over; only the new supernodes pick again, and every
+new cycle runs through one of them, so the cycle search starts from them
+alone.  A supernode's incoming edges are its members' incoming edges from
+outside the cycle, and of the edges from one source only the one the pick
+rule prefers is kept: parallel edges receive the same weight reductions
+in every later round, so no other can ever be picked.  One round thus
+costs a sort of the new supernodes' incoming edges, O(n) vectorised
+relabelling and a Python walk from each new supernode — not a sort of the
+whole edge set.  Rounds are not few: at alpha=4 COLLAB takes 74 (75 with
+the self-loops of GCN normalisation) and ogbn-proteins takes 240.
 
-Ties are broken toward virtual-node edges, mirroring the MST tie rule
-(worthless compression opportunities go to the adjacency-list case, which
-also raises the virtual root's out-degree — the parallelism knob of
-Section V-C).
+Ties are broken by the lowest weight, then toward virtual-node edges, then
+by the lowest edge id, in every round.  Virtual edges are numbered before
+the real ones, so the last two rules are one edge-id order.  This mirrors
+the MST tie rule (worthless compression opportunities go to the
+adjacency-list case, which also raises the virtual root's out-degree — the
+parallelism knob of Section V-C).  The rule is a total order on edges, and
+the incremental bookkeeping never reorders two edges that a full per-round
+re-sort could still compare, so the tree is exactly the one the
+round-by-round algorithm picks.
 """
 
 from __future__ import annotations
@@ -33,45 +46,33 @@ from repro.core.distance import DistanceGraph
 from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import CompressionError
 
-
-def _pick_min_incoming(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, is_real: np.ndarray, nodes: int, root: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cheapest incoming edge index per node (or -1); ties prefer virtual."""
-    pick = np.full(nodes, -1, dtype=np.int64)
-    minw = np.zeros(nodes, dtype=np.int64)
-    if len(src) == 0:
-        return pick, minw
-    order = np.lexsort((is_real, w, dst))
-    sd = dst[order]
-    first = np.ones(len(sd), dtype=bool)
-    first[1:] = sd[1:] != sd[:-1]
-    sel = order[first]
-    pick[dst[sel]] = sel
-    minw[dst[sel]] = w[sel]
-    pick[root] = -1
-    return pick, minw
+# Rows of the in-list pool: the original edge id of an entry, its weight
+# reduced to the round its owner was contracted in, the node whose in-list
+# it was copied from (its level-local destination), and the slot it was
+# copied from (-1 for the original edges).
+_EID, _W, _OWNER, _FROM = range(4)
 
 
-def _find_cycles(pick: np.ndarray, src: np.ndarray, nodes: int, root: int) -> list[np.ndarray]:
-    """Cycles in the functional graph v -> src[pick[v]] (root excluded)."""
-    color = np.zeros(nodes, dtype=np.int8)  # 0 unseen, 1 on stack, 2 done
+def _ranges(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(lo[i], lo[i] + length[i])`` over ``i``."""
+    total = int(length.sum())
+    starts = np.cumsum(length) - length
+    return np.repeat(lo - starts, length) + np.arange(total, dtype=np.int64)
+
+
+def _find_cycles(succ: np.ndarray, starts, root: int) -> list[np.ndarray]:
+    """Cycles of the pick graph ``v -> succ[v]`` that pass through ``starts``."""
+    walk = np.zeros(len(succ), dtype=np.int64)  # 1-based walk that visited a node
     cycles: list[np.ndarray] = []
-    for start in range(nodes):
-        if color[start] != 0 or start == root:
-            continue
+    for token, start in enumerate(starts, start=1):
         path = []
-        v = start
-        while v != root and color[v] == 0 and pick[v] >= 0:
-            color[v] = 1
+        v = int(start)
+        while v != root and not walk[v]:
+            walk[v] = token
             path.append(v)
-            v = int(src[pick[v]])
-        if v != root and color[v] == 1 and pick[v] >= 0:
-            # Found a new cycle: the tail of `path` starting at v.
-            k = path.index(v)
-            cycles.append(np.asarray(path[k:], dtype=np.int64))
-        for u in path:
-            color[u] = 2
+            v = int(succ[v])
+        if v != root and walk[v] == token:
+            cycles.append(np.asarray(path[path.index(v):], dtype=np.int64))
     return cycles
 
 
@@ -90,122 +91,98 @@ def minimum_arborescence(g: DistanceGraph) -> CompressionTree:
         e_dst = np.concatenate([g.dst, g.src])
         e_w = np.concatenate([g.weight, g.weight])
     root = n
-    # Combined edge arrays; original edge ids index into these.
-    src0 = np.concatenate([e_src, np.full(n, root, dtype=np.int64)])
-    dst0 = np.concatenate([e_dst, np.arange(n, dtype=np.int64)])
-    w0 = np.concatenate([e_w, g.row_nnz]).astype(np.int64)
-    is_real0 = np.concatenate(
-        [np.ones(len(e_src), dtype=np.int8), np.zeros(n, dtype=np.int8)]
-    )
+    # Original edges: root -> x for every row x, then the real ones.  An
+    # edge's id is its position here, so the tie rule is (weight, id).
+    src0 = np.concatenate([np.full(n, root), e_src]).astype(np.int64)
+    dst0 = np.concatenate([np.arange(n), e_dst]).astype(np.int64)
+    w0 = np.concatenate([g.row_nnz, e_w]).astype(np.int64)
 
-    # Current contracted graph.
-    src, dst, w = src0.copy(), dst0.copy(), w0.copy()
-    is_real = is_real0.copy()
-    eid = np.arange(len(src0), dtype=np.int64)
-    nodes = n + 1
-    cur_root = root
-
-    # Per-level records for expansion.
-    levels: list[dict] = []
+    # Node ids: rows 0..n-1, the root n, then supernodes in creation order.
+    # Each contraction retires at least one more node than it creates, so
+    # there are at most n supernodes.
+    cap = 2 * n + 1
+    # Each node's incoming edges are the slots lo[v]..hi[v] of the pool,
+    # sorted by the tie rule, so slot lo[v] is the node's pick.
+    order = np.lexsort((w0, dst0))
+    pool = np.empty((4, len(order)), dtype=np.int64)
+    pool[_EID] = order
+    pool[_W] = w0[order]
+    pool[_OWNER] = dst0[order]
+    pool[_FROM] = -1
+    used = len(order)
+    lo = np.zeros(cap, dtype=np.int64)
+    hi = np.zeros(cap, dtype=np.int64)
+    hi[: n + 1] = np.cumsum(np.bincount(dst0, minlength=n + 1))
+    lo[1 : n + 1] = hi[:n]
+    comp = np.arange(n + 1, dtype=np.int64)  # original node -> live node
+    succ = np.full(cap, root, dtype=np.int64)  # live node -> its pick's source
+    succ[:n] = src0[pool[_EID, lo[:n]]]
+    contractions: list[tuple[np.ndarray, np.ndarray]] = []
+    next_id = n + 1
+    fresh: range | np.ndarray = range(n)
 
     for _ in range(n + 1):
-        pick, minw = _pick_min_incoming(src, dst, w, is_real, nodes, cur_root)
-        missing = np.flatnonzero(pick < 0)
-        missing = missing[missing != cur_root]
-        if len(missing):
-            raise CompressionError(
-                f"arborescence: node(s) {missing[:5]} have no incoming edge"
-            )
-        cycles = _find_cycles(pick, src, nodes, cur_root)
+        cycles = _find_cycles(succ, fresh, root)
         if not cycles:
-            chosen = {int(v): int(eid[pick[v]]) for v in range(nodes) if v != cur_root}
-            selected = set(chosen.values())
             break
+        members = np.concatenate(cycles)
+        sizes = np.fromiter((len(c) for c in cycles), dtype=np.int64, count=len(cycles))
+        supers = np.arange(next_id, next_id + len(cycles), dtype=np.int64)
+        next_id += len(cycles)
+        owner_super = np.repeat(supers, sizes)
+        contractions.append((members, owner_super))
+        remap = np.arange(cap, dtype=np.int64)
+        remap[members] = owner_super
+        comp = remap[comp]
+        succ = remap[succ]
 
-        # Contract all cycles simultaneously.
-        node_map = np.full(nodes, -1, dtype=np.int64)
-        in_cycle = np.zeros(nodes, dtype=bool)
-        for c in cycles:
-            in_cycle[c] = True
-        new_id = 0
-        for v in range(nodes):
-            if not in_cycle[v]:
-                node_map[v] = new_id
-                new_id += 1
-        cycle_ids = []
-        for c in cycles:
-            node_map[c] = new_id
-            cycle_ids.append(new_id)
-            new_id += 1
-
-        levels.append(
-            {
-                # eid is strictly increasing (arange filtered by masks), so
-                # level-local dst lookups can use searchsorted at expansion.
-                "eid": eid,
-                "dst": dst,
-                "nodes": nodes,
-                "pick_eid": {
-                    int(v): int(eid[pick[v]]) for v in range(nodes) if v != cur_root
-                },
-                "cycles": cycles,
-                "cycle_ids": cycle_ids,
-            }
-        )
-
-        # Reduced weights: edges entering a cycle pay w - minw[dst].
-        adj_w = w - np.where(in_cycle[dst], minw[dst], 0)
-        new_src = node_map[src]
-        new_dst = node_map[dst]
-        keep = new_src != new_dst
-        src, dst, w = new_src[keep], new_dst[keep], adj_w[keep]
-        is_real, eid = is_real[keep], eid[keep]
-        nodes = new_id
-        cur_root = int(node_map[cur_root])
-    else:  # pragma: no cover - guarded by CompressionError paths
+        # The supernodes' incoming edges: their members' entries whose
+        # source lies outside the cycle, each paying the member's pick.
+        slot = _ranges(lo[members], hi[members] - lo[members])
+        own = np.repeat(members, hi[members] - lo[members])
+        sup = remap[own]
+        eid = pool[_EID, slot]
+        src = comp[src0[eid]]
+        keep = src != sup
+        slot, own, sup, eid, src = slot[keep], own[keep], sup[keep], eid[keep], src[keep]
+        w = pool[_W, slot] - pool[_W, lo[own]]
+        # Best entry per (supernode, source), then each supernode's
+        # survivors in tie-rule order.
+        o = np.lexsort((eid, w, src, sup))
+        first = np.ones(len(o), dtype=bool)
+        first[1:] = (sup[o[1:]] != sup[o[:-1]]) | (src[o[1:]] != src[o[:-1]])
+        o = o[first]
+        o = o[np.lexsort((eid[o], w[o], sup[o]))]
+        # Never zero: the root is in no cycle, so every member's virtual
+        # edge survives.
+        counts = np.bincount(sup[o] - supers[0], minlength=len(supers))
+        if used + len(o) > pool.shape[1]:
+            grown = np.empty((4, max(2 * pool.shape[1], used + len(o))), dtype=np.int64)
+            grown[:, :used] = pool[:, :used]
+            pool = grown
+        pool[_EID, used : used + len(o)] = eid[o]
+        pool[_W, used : used + len(o)] = w[o]
+        pool[_OWNER, used : used + len(o)] = own[o]
+        pool[_FROM, used : used + len(o)] = slot[o]
+        hi[supers] = used + np.cumsum(counts)
+        lo[supers] = hi[supers] - counts
+        used += len(o)
+        succ[supers] = comp[src0[pool[_EID, lo[supers]]]]
+        fresh = supers
+    else:  # pragma: no cover - every round retires at least one node
         raise CompressionError("arborescence failed to converge")
 
-    # Expand contractions from the last (most contracted) level outward:
-    # after processing a level, `selected` is an arborescence on that
-    # level's pre-contraction node set.  Entry-edge lookups are vectorised:
-    # map every selected edge to its level-local dst at once, then to the
-    # cycle that dst belongs to (a selected edge whose level dst is inside
-    # a cycle is exactly the unique external edge entering that supernode —
-    # same-cycle edges were self-loops and never survived the contraction).
-    for level in reversed(levels):
-        level_eid, level_dst = level["eid"], level["dst"]
-        sel_arr = np.fromiter(selected, dtype=np.int64, count=len(selected))
-        pos = np.searchsorted(level_eid, sel_arr)
-        pos_clip = np.minimum(pos, len(level_eid) - 1)
-        present = level_eid[pos_clip] == sel_arr
-        dsts = level_dst[pos_clip[present]]
-        cyc_of = np.full(level["nodes"], -1, dtype=np.int64)
-        for ci, c in enumerate(level["cycles"]):
-            cyc_of[c] = ci
-        hit = cyc_of[dsts] >= 0
-        entry_node = dict(zip(cyc_of[dsts[hit]].tolist(), dsts[hit].tolist(), strict=True))
-        for ci, c in enumerate(level["cycles"]):
-            if ci not in entry_node:
-                raise CompressionError("expansion: no edge enters contracted cycle")
-            t = entry_node[ci]
-            for v in c:
-                if int(v) != t:
-                    selected.add(level["pick_eid"][int(v)])
+    # Expand the contractions newest first.  `into[v]` is the slot, in v's
+    # own in-list, of the edge entering v.  A supernode's entering edge
+    # lands on the member it was copied from; every other member keeps its
+    # pick.
+    into = lo.copy()
+    for members, owner_super in reversed(contractions):
+        s = into[owner_super]
+        into[members] = np.where(pool[_OWNER, s] == members, pool[_FROM, s], lo[members])
 
-    # Selected edges now form the arborescence on original nodes.
-    parent = np.full(n, VIRTUAL, dtype=np.int64)
-    weight = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for e in selected:
-        t = int(dst0[e])
-        if t == root:
-            raise CompressionError("expansion: selected edge enters the root")
-        if seen[t]:
-            raise CompressionError(f"expansion: two selected edges enter row {t}")
-        seen[t] = True
-        s = int(src0[e])
-        parent[t] = VIRTUAL if s == root else s
-        weight[t] = int(w0[e])
-    if not seen.all():
-        raise CompressionError("expansion: some rows received no parent")
-    return CompressionTree(parent=parent, weight=weight)
+    e = pool[_EID, into[:n]]
+    if not np.array_equal(dst0[e], np.arange(n)):
+        raise CompressionError("expansion: a row received an edge entering another row")
+    parent = np.where(src0[e] == root, VIRTUAL, src0[e])
+    return CompressionTree(parent=parent, weight=w0[e])

@@ -10,11 +10,19 @@ deltas* ``A′`` whose x-th row is ``indicator(Δ⁺) − indicator(Δ⁻)``.  R
 parented by the virtual node store their full adjacency list (Δ⁺ = row,
 Δ⁻ = ∅).  For the AD and DAD variants the delta matrix is column-scaled
 by the diagonal vector — see :func:`scale_delta_matrix`.
+
+All delta rows come from one sparse subtraction ``A − P·A`` on the 0/1
+pattern of ``A`` (``P`` picks each row's parent row, or the empty row):
+SciPy merges every row with its parent's row in compiled code, a column
+present in both cancels to zero and is dropped, and the entries left are
+the ±1 deltas, already in column order.  :func:`delta_sets` keeps the
+per-row set-difference definition as the reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import CompressionError
@@ -25,8 +33,9 @@ def delta_sets(a: CSRMatrix, tree: CompressionTree, x: int) -> tuple[np.ndarray,
     """(Δ⁺, Δ⁻) column-index arrays for row ``x`` under ``tree``.
 
     Rows are sorted-unique in CSR, so both differences are exact set
-    operations.  Primarily a test/debug helper; bulk construction goes
-    through :func:`build_delta_matrix`.
+    operations.  This is the definition the tests hold
+    :func:`build_delta_matrix` to; bulk construction goes through
+    :func:`delta_rows`.
     """
     row_x = np.asarray(a.row(x))
     p = int(tree.parent[x])
@@ -36,6 +45,23 @@ def delta_sets(a: CSRMatrix, tree: CompressionTree, x: int) -> tuple[np.ndarray,
     plus = np.setdiff1d(row_x, row_p, assume_unique=True)
     minus = np.setdiff1d(row_p, row_x, assume_unique=True)
     return plus, minus
+
+
+def delta_rows(a: CSRMatrix, parent: np.ndarray, rows: np.ndarray) -> CSRMatrix:
+    """Delta rows ``rows`` of ``a`` under the parent array ``parent``.
+
+    Returns a ``len(rows) × m`` CSR whose i-th row holds +1 at the Δ⁺ and
+    −1 at the Δ⁻ columns of row ``rows[i]``, sorted by column.  Values of
+    ``a`` are ignored: every stored entry counts as a one.
+    """
+    n, m = a.shape
+    rows = np.asarray(rows, dtype=np.int64)
+    # Row n of the pattern is the empty row that virtual parents stand for.
+    ones = np.ones(a.nnz, dtype=np.float32)
+    pattern = sp.csr_matrix((ones, a.indices, np.append(a.indptr, a.nnz)), shape=(n + 1, m))
+    ref = parent[rows]
+    d = pattern[rows] - pattern[np.where(ref == VIRTUAL, n, ref)]
+    return CSRMatrix(d.indptr, d.indices, d.data, (len(rows), m), check=False)
 
 
 def build_delta_matrix(a: CSRMatrix, tree: CompressionTree) -> CSRMatrix:
@@ -52,42 +78,15 @@ def build_delta_matrix(a: CSRMatrix, tree: CompressionTree) -> CSRMatrix:
         raise CompressionError(
             f"tree has {tree.n} rows but the matrix has {n}"
         )
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    chunks_idx: list[np.ndarray] = []
-    chunks_val: list[np.ndarray] = []
-    for x in range(n):
-        p = int(tree.parent[x])
-        row_x = np.asarray(a.row(x))
-        if p == VIRTUAL:
-            idx = row_x
-            val = np.ones(len(idx), dtype=np.float32)
-        else:
-            row_p = np.asarray(a.row(p))
-            plus = np.setdiff1d(row_x, row_p, assume_unique=True)
-            minus = np.setdiff1d(row_p, row_x, assume_unique=True)
-            idx = np.concatenate([plus, minus])
-            val = np.concatenate(
-                [
-                    np.ones(len(plus), dtype=np.float32),
-                    -np.ones(len(minus), dtype=np.float32),
-                ]
-            )
-            order = np.argsort(idx, kind="stable")
-            idx, val = idx[order], val[order]
-        if tree.weight[x] and len(idx) != tree.weight[x]:
-            raise CompressionError(
-                f"row {x}: expected {tree.weight[x]} deltas, extracted {len(idx)}"
-            )
-        indptr[x + 1] = indptr[x] + len(idx)
-        chunks_idx.append(idx)
-        chunks_val.append(val)
-    indices = (
-        np.concatenate(chunks_idx) if chunks_idx else np.empty(0, dtype=np.int64)
-    )
-    values = (
-        np.concatenate(chunks_val) if chunks_val else np.empty(0, dtype=np.float32)
-    )
-    return CSRMatrix(indptr, indices, values, a.shape, check=False)
+    delta = delta_rows(a, tree.parent, np.arange(n))
+    counts = delta.row_nnz()
+    bad = np.flatnonzero((tree.weight != 0) & (counts != tree.weight))
+    if len(bad):
+        x = int(bad[0])
+        raise CompressionError(
+            f"row {x}: expected {tree.weight[x]} deltas, extracted {counts[x]}"
+        )
+    return delta
 
 
 def scale_delta_matrix(delta: CSRMatrix, d: np.ndarray) -> CSRMatrix:

@@ -61,7 +61,11 @@ class CompressionTree:
         return len(self.parent)
 
     def validate(self) -> None:
-        """Check parent indices and acyclicity; raise :class:`TreeError`."""
+        """Check parent indices and acyclicity; raise :class:`TreeError`.
+
+        The depths computed for the cycle check fill the cache that
+        :meth:`levels` and :meth:`topological_order` read.
+        """
         n = self.n
         bad = (self.parent != VIRTUAL) & ((self.parent < 0) | (self.parent >= n))
         if np.any(bad):
@@ -69,8 +73,10 @@ class CompressionTree:
         if np.any(self.parent == np.arange(n)):
             raise TreeError("a row cannot be its own parent")
         # Acyclicity via iterative depth computation; a cycle never resolves.
-        if n and self.depth().max(initial=0) >= n + 1:
+        depth = self.depth()
+        if n and depth.max(initial=0) >= n + 1:
             raise TreeError("compression tree contains a cycle")
+        self._depth = depth
 
     def depth(self) -> np.ndarray:
         """Depth of each row: 0 for virtual-parent rows, parent depth + 1 else.

@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.core.builder import build_cbm
 from repro.core.cbm import CBMMatrix, Variant
-from repro.core.tree import VIRTUAL, CompressionTree
+from repro.core.deltas import delta_rows
+from repro.core.tree import CompressionTree
 from repro.errors import CompressionError, ShapeError, StalenessError
 from repro.sparse.csr import CSRMatrix
 
@@ -133,25 +134,6 @@ def _splice_rows(
     return CSRMatrix(indptr, indices, data, csr.shape, check=False)
 
 
-def _delta_row(
-    row_x: np.ndarray, row_p: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, ±1 values) of one delta row, sorted by column."""
-    if row_p is None:
-        return row_x, np.ones(len(row_x), dtype=np.float32)
-    plus = np.setdiff1d(row_x, row_p, assume_unique=True)
-    minus = np.setdiff1d(row_p, row_x, assume_unique=True)
-    idx = np.concatenate([plus, minus])
-    val = np.concatenate(
-        [
-            np.ones(len(plus), dtype=np.float32),
-            -np.ones(len(minus), dtype=np.float32),
-        ]
-    )
-    order = np.argsort(idx, kind="stable")
-    return idx[order], val[order]
-
-
 def patch_cbm(
     cbm: CBMMatrix, source: CSRMatrix, batch: EdgeBatch
 ) -> tuple[CBMMatrix, CSRMatrix, dict]:
@@ -230,32 +212,24 @@ def patch_cbm(
         stats["rows_patched"] = 0
         return cbm, source, stats
 
-    # Affected delta rows: the mutated rows plus their direct children
-    # (a child's delta sets are diffs against the mutated content).
-    touched = np.fromiter(new_rows, dtype=np.int64)
-    parent = cbm.tree.parent
-    affected = np.union1d(touched, np.flatnonzero(np.isin(parent, touched)))
-
-    def row_after(i: int) -> np.ndarray:
-        got = new_rows.get(i)
-        return got if got is not None else np.asarray(source.row(i))
-
-    delta_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    new_weight = cbm.tree.weight.copy()
-    for x in affected:
-        x = int(x)
-        p = int(parent[x])
-        idx, val = _delta_row(row_after(x), None if p == VIRTUAL else row_after(p))
-        delta_rows[x] = (idx, val)
-        new_weight[x] = len(idx)
-
-    delta2 = _splice_rows(cbm.delta, delta_rows)
     source2 = _splice_rows(
         source,
         {
             u: (r, np.ones(len(r), dtype=source.data.dtype))
             for u, r in new_rows.items()
         },
+    )
+    # Affected delta rows: the mutated rows plus their direct children
+    # (a child's delta sets are diffs against the mutated content).
+    touched = np.fromiter(new_rows, dtype=np.int64)
+    parent = cbm.tree.parent
+    affected = np.union1d(touched, np.flatnonzero(np.isin(parent, touched)))
+    block = delta_rows(source2, parent, affected)
+    new_weight = cbm.tree.weight.copy()
+    new_weight[affected] = block.row_nnz()
+    delta2 = _splice_rows(
+        cbm.delta,
+        {int(x): (block.row(i), block.row_values(i)) for i, x in enumerate(affected)},
     )
     # Fresh tree/CBM objects (parent array shared, it never changes):
     # published snapshots stay immutable, and the plan-fingerprint check

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import build_cbm
 from repro.core.deltas import (
@@ -15,6 +17,7 @@ from repro.core.mst import kruskal_mst
 from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import CompressionError
 from repro.sparse.convert import from_dense
+from repro.sparse.csr import CSRMatrix
 
 from tests.conftest import random_adjacency_csr, random_binary_csr
 
@@ -86,6 +89,81 @@ class TestBuildDeltaMatrix:
         for x in range(20):
             row = delta.row(x)
             assert np.all(np.diff(row) > 0)
+
+
+def reference_delta_matrix(a, tree):
+    """A′ assembled row by row from the :func:`delta_sets` definition."""
+    n = a.shape[0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    idx_rows, val_rows = [], []
+    for x in range(n):
+        plus, minus = delta_sets(a, tree, x)
+        idx = np.concatenate([plus, minus])
+        val = np.concatenate(
+            [np.ones(len(plus), dtype=np.float32), -np.ones(len(minus), dtype=np.float32)]
+        )
+        order = np.argsort(idx, kind="stable")
+        idx_rows.append(idx[order])
+        val_rows.append(val[order])
+        indptr[x + 1] = indptr[x] + len(idx)
+    indices = np.concatenate(idx_rows) if idx_rows else np.empty(0, dtype=np.int64)
+    data = np.concatenate(val_rows) if val_rows else np.empty(0, dtype=np.float32)
+    return CSRMatrix(indptr, indices, data, a.shape, check=False)
+
+
+@st.composite
+def matrices_with_trees(draw):
+    """(matrix, tree) pairs: rectangular shapes, empty rows, rows copied
+    from their parent, all-virtual trees, and int32 index arrays."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 10))
+    dense = np.asarray(
+        draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)), dtype=np.float32
+    ).reshape(n, m)
+    # Parents come earlier in a random order, so the tree is acyclic.
+    rank = np.asarray(draw(st.permutations(range(n))))
+    parent = np.full(n, VIRTUAL, dtype=np.int64)
+    if not draw(st.booleans()):  # otherwise an all-virtual tree
+        for x in range(n):
+            earlier = np.flatnonzero(rank < rank[x])
+            if len(earlier) and draw(st.booleans()):
+                parent[x] = earlier[draw(st.integers(0, len(earlier) - 1))]
+    for x in np.argsort(rank):  # parents first, so copies chain correctly
+        if parent[x] != VIRTUAL and draw(st.booleans()):
+            dense[x] = dense[parent[x]]
+    a = from_dense(dense)
+    if draw(st.booleans()):
+        a.indptr = a.indptr.astype(np.int32)
+        a.indices = a.indices.astype(np.int32)
+    tree = CompressionTree(parent=parent)
+    if draw(st.booleans()):
+        tree = CompressionTree(parent=parent, weight=reference_delta_matrix(a, tree).row_nnz())
+    return a, tree
+
+
+class TestBuildDeltaMatrixMatchesReference:
+    @given(matrices_with_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_per_row_definition(self, case):
+        a, tree = case
+        ours, ref = build_delta_matrix(a, tree), reference_delta_matrix(a, tree)
+        assert ours.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(ours, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    @given(matrices_with_trees(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_doctored_weight_names_first_bad_row(self, case, data):
+        a, tree = case
+        counts = reference_delta_matrix(a, tree).row_nnz()
+        bad = data.draw(st.lists(st.integers(0, a.shape[0] - 1), min_size=1, unique=True))
+        weight = counts.copy()
+        weight[bad] = counts[bad] + 1
+        doctored = CompressionTree(parent=tree.parent, weight=weight)
+        with pytest.raises(CompressionError, match=rf"^row {min(bad)}: expected"):
+            build_delta_matrix(a, doctored)
 
 
 class TestScaleDeltaMatrix:

@@ -3,14 +3,198 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.arborescence import minimum_arborescence
 from repro.core.distance import DistanceGraph, candidate_edges
 from repro.core.mst import UnionFind, kruskal_mst, prim_mst
-from repro.core.tree import VIRTUAL
+from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import CompressionError
 
 from tests.conftest import random_adjacency_csr, random_binary_csr
+
+
+# ----------------------------------------------------------------------
+# Reference implementation
+# ----------------------------------------------------------------------
+
+
+def _ref_pick_min_incoming(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, is_real: np.ndarray, nodes: int, root: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest incoming edge index per node (or -1); ties prefer virtual."""
+    pick = np.full(nodes, -1, dtype=np.int64)
+    minw = np.zeros(nodes, dtype=np.int64)
+    if len(src) == 0:
+        return pick, minw
+    order = np.lexsort((is_real, w, dst))
+    sd = dst[order]
+    first = np.ones(len(sd), dtype=bool)
+    first[1:] = sd[1:] != sd[:-1]
+    sel = order[first]
+    pick[dst[sel]] = sel
+    minw[dst[sel]] = w[sel]
+    pick[root] = -1
+    return pick, minw
+
+
+def _ref_find_cycles(pick: np.ndarray, src: np.ndarray, nodes: int, root: int) -> list[np.ndarray]:
+    """Cycles in the functional graph v -> src[pick[v]] (root excluded)."""
+    color = np.zeros(nodes, dtype=np.int8)  # 0 unseen, 1 on stack, 2 done
+    cycles: list[np.ndarray] = []
+    for start in range(nodes):
+        if color[start] != 0 or start == root:
+            continue
+        path = []
+        v = start
+        while v != root and color[v] == 0 and pick[v] >= 0:
+            color[v] = 1
+            path.append(v)
+            v = int(src[pick[v]])
+        if v != root and color[v] == 1 and pick[v] >= 0:
+            # Found a new cycle: the tail of `path` starting at v.
+            k = path.index(v)
+            cycles.append(np.asarray(path[k:], dtype=np.int64))
+        for u in path:
+            color[u] = 2
+    return cycles
+
+
+def reference_minimum_arborescence(g: DistanceGraph) -> CompressionTree:
+    """Round-by-round Chu–Liu/Edmonds: re-pick and re-search every node each round.
+
+    The reference :func:`minimum_arborescence` must match bit for bit: the
+    same tie rule (lowest weight, then the virtual edge, then the lowest
+    edge id), applied by one full lexsort of the contracted graph per round.
+    """
+    n = g.n
+    if g.directed:
+        e_src, e_dst, e_w = g.src, g.dst, g.weight
+    else:
+        e_src = np.concatenate([g.src, g.dst])
+        e_dst = np.concatenate([g.dst, g.src])
+        e_w = np.concatenate([g.weight, g.weight])
+    root = n
+    # Combined edge arrays; original edge ids index into these.
+    src0 = np.concatenate([e_src, np.full(n, root, dtype=np.int64)])
+    dst0 = np.concatenate([e_dst, np.arange(n, dtype=np.int64)])
+    w0 = np.concatenate([e_w, g.row_nnz]).astype(np.int64)
+    is_real0 = np.concatenate(
+        [np.ones(len(e_src), dtype=np.int8), np.zeros(n, dtype=np.int8)]
+    )
+
+    # Current contracted graph.
+    src, dst, w = src0.copy(), dst0.copy(), w0.copy()
+    is_real = is_real0.copy()
+    eid = np.arange(len(src0), dtype=np.int64)
+    nodes = n + 1
+    cur_root = root
+
+    # Per-level records for expansion.
+    levels: list[dict] = []
+
+    for _ in range(n + 1):
+        pick, minw = _ref_pick_min_incoming(src, dst, w, is_real, nodes, cur_root)
+        missing = np.flatnonzero(pick < 0)
+        missing = missing[missing != cur_root]
+        if len(missing):
+            raise CompressionError(
+                f"arborescence: node(s) {missing[:5]} have no incoming edge"
+            )
+        cycles = _ref_find_cycles(pick, src, nodes, cur_root)
+        if not cycles:
+            chosen = {int(v): int(eid[pick[v]]) for v in range(nodes) if v != cur_root}
+            selected = set(chosen.values())
+            break
+
+        # Contract all cycles simultaneously.
+        node_map = np.full(nodes, -1, dtype=np.int64)
+        in_cycle = np.zeros(nodes, dtype=bool)
+        for c in cycles:
+            in_cycle[c] = True
+        new_id = 0
+        for v in range(nodes):
+            if not in_cycle[v]:
+                node_map[v] = new_id
+                new_id += 1
+        cycle_ids = []
+        for c in cycles:
+            node_map[c] = new_id
+            cycle_ids.append(new_id)
+            new_id += 1
+
+        levels.append(
+            {
+                # eid is strictly increasing (arange filtered by masks), so
+                # level-local dst lookups can use searchsorted at expansion.
+                "eid": eid,
+                "dst": dst,
+                "nodes": nodes,
+                "pick_eid": {
+                    int(v): int(eid[pick[v]]) for v in range(nodes) if v != cur_root
+                },
+                "cycles": cycles,
+                "cycle_ids": cycle_ids,
+            }
+        )
+
+        # Reduced weights: edges entering a cycle pay w - minw[dst].
+        adj_w = w - np.where(in_cycle[dst], minw[dst], 0)
+        new_src = node_map[src]
+        new_dst = node_map[dst]
+        keep = new_src != new_dst
+        src, dst, w = new_src[keep], new_dst[keep], adj_w[keep]
+        is_real, eid = is_real[keep], eid[keep]
+        nodes = new_id
+        cur_root = int(node_map[cur_root])
+    else:  # pragma: no cover - guarded by CompressionError paths
+        raise CompressionError("arborescence failed to converge")
+
+    # Expand contractions from the last (most contracted) level outward:
+    # after processing a level, `selected` is an arborescence on that
+    # level's pre-contraction node set.  Entry-edge lookups are vectorised:
+    # map every selected edge to its level-local dst at once, then to the
+    # cycle that dst belongs to (a selected edge whose level dst is inside
+    # a cycle is exactly the unique external edge entering that supernode —
+    # same-cycle edges were self-loops and never survived the contraction).
+    for level in reversed(levels):
+        level_eid, level_dst = level["eid"], level["dst"]
+        sel_arr = np.fromiter(selected, dtype=np.int64, count=len(selected))
+        pos = np.searchsorted(level_eid, sel_arr)
+        pos_clip = np.minimum(pos, len(level_eid) - 1)
+        present = level_eid[pos_clip] == sel_arr
+        dsts = level_dst[pos_clip[present]]
+        cyc_of = np.full(level["nodes"], -1, dtype=np.int64)
+        for ci, c in enumerate(level["cycles"]):
+            cyc_of[c] = ci
+        hit = cyc_of[dsts] >= 0
+        entry_node = dict(zip(cyc_of[dsts[hit]].tolist(), dsts[hit].tolist(), strict=True))
+        for ci, c in enumerate(level["cycles"]):
+            if ci not in entry_node:
+                raise CompressionError("expansion: no edge enters contracted cycle")
+            t = entry_node[ci]
+            for v in c:
+                if int(v) != t:
+                    selected.add(level["pick_eid"][int(v)])
+
+    # Selected edges now form the arborescence on original nodes.
+    parent = np.full(n, VIRTUAL, dtype=np.int64)
+    weight = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    for e in selected:
+        t = int(dst0[e])
+        if t == root:
+            raise CompressionError("expansion: selected edge enters the root")
+        if seen[t]:
+            raise CompressionError(f"expansion: two selected edges enter row {t}")
+        seen[t] = True
+        s = int(src0[e])
+        parent[t] = VIRTUAL if s == root else s
+        weight[t] = int(w0[e])
+    if not seen.all():
+        raise CompressionError("expansion: some rows received no parent")
+    return CompressionTree(parent=parent, weight=weight)
 
 
 class TestUnionFind:
@@ -155,3 +339,62 @@ class TestArborescence:
         # (1 delta) + row 2 (nnz 1) = 8, cheaper than the virtual edge to 0.
         assert tree.total_weight() == 8
         assert tree.total_weight() <= a.nnz
+
+
+@st.composite
+def tie_heavy_graphs(draw, max_n=12):
+    """Distance graphs whose small integer weights make ties the rule.
+
+    Real edge weights (0..4) and virtual-edge costs (2..5) overlap, so real
+    and virtual edges tie often, while most rows still prefer a real edge:
+    mutual cheap edges then form cycles whose contraction produces
+    parallel edges and nested cycles.  Duplicate (src, dst) pairs are
+    allowed too.
+    """
+    n = draw(st.integers(1, max_n))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            min_size=n - 1,
+            max_size=5 * n,
+        )
+    )
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)))
+    row_nnz = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    directed = draw(st.booleans())
+    return DistanceGraph(
+        n=n,
+        src=np.asarray([p[0] for p in pairs], dtype=np.int64),
+        dst=np.asarray([p[1] for p in pairs], dtype=np.int64),
+        weight=np.asarray(weights, dtype=np.int64),
+        row_nnz=np.asarray(row_nnz, dtype=np.int64),
+        directed=directed,
+        alpha=1 if directed else None,
+    )
+
+
+def _assert_same_tree(ours: CompressionTree, ref: CompressionTree) -> None:
+    assert ours.parent.dtype == ref.parent.dtype
+    assert ours.weight.dtype == ref.weight.dtype
+    assert np.array_equal(ours.parent, ref.parent)
+    assert np.array_equal(ours.weight, ref.weight)
+
+
+class TestArborescenceMatchesReference:
+    @given(tie_heavy_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_on_tie_heavy_graphs(self, g):
+        _assert_same_tree(minimum_arborescence(g), reference_minimum_arborescence(g))
+
+    def test_bitwise_equal_on_many_round_registry_graph(self):
+        """ca-HepPh at alpha=4 needs 156 contraction rounds."""
+        from repro.graphs.datasets import load_dataset
+
+        g = candidate_edges(load_dataset("ca-HepPh"), 4)
+        _assert_same_tree(minimum_arborescence(g), reference_minimum_arborescence(g))
+
+    def test_empty_graph(self):
+        g = candidate_edges(random_binary_csr(0, seed=0), 1)
+        _assert_same_tree(minimum_arborescence(g), reference_minimum_arborescence(g))

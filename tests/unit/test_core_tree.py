@@ -46,6 +46,22 @@ class TestValidation:
 
 
 class TestStructure:
+    def test_depth_computed_once_per_tree(self, monkeypatch):
+        """validate() fills the depth cache that levels() and
+        topological_order() read, so building and planning a tree runs
+        the relaxation once."""
+        calls = []
+        depth = CompressionTree.depth
+        monkeypatch.setattr(
+            CompressionTree, "depth", lambda self: calls.append(1) or depth(self)
+        )
+        tree = chain_tree(6)
+        tree.levels()
+        tree.topological_order()
+        tree.stats()
+        assert len(calls) == 1
+        assert np.array_equal(tree.topological_order(), np.arange(6))
+
     def test_depth_chain(self):
         t = chain_tree(5)
         assert np.array_equal(t.depth(), np.arange(5))
