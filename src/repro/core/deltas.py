@@ -11,12 +11,15 @@ parented by the virtual node store their full adjacency list (Δ⁺ = row,
 Δ⁻ = ∅).  For the AD and DAD variants the delta matrix is column-scaled
 by the diagonal vector — see :func:`scale_delta_matrix`.
 
-All delta rows come from one sparse subtraction ``A − P·A`` on the 0/1
-pattern of ``A`` (``P`` picks each row's parent row, or the empty row):
-SciPy merges every row with its parent's row in compiled code, a column
-present in both cancels to zero and is dropped, and the entries left are
-the ±1 deltas, already in column order.  :func:`delta_sets` keeps the
-per-row set-difference definition as the reference.
+Delta rows come from one sparse subtraction ``R·A − P·A`` on the 0/1
+pattern of ``A`` (``R`` picks the wanted rows, ``P`` their parent rows or
+the empty row): SciPy merges every row with its parent's row in compiled
+code, a column present in both cancels to zero and is dropped, and the
+entries left are the ±1 deltas, already in column order.
+:func:`delta_rows` gathers only the rows it is given and their parents'
+rows, so :func:`build_delta_matrix` (every row) and a streaming patch (a
+few rows) share one path.  :func:`delta_sets` keeps the per-row
+set-difference definition as the reference.
 """
 
 from __future__ import annotations
@@ -47,21 +50,34 @@ def delta_sets(a: CSRMatrix, tree: CompressionTree, x: int) -> tuple[np.ndarray,
     return plus, minus
 
 
+def _gather(a: CSRMatrix, rows: np.ndarray) -> sp.csr_matrix:
+    """0/1 pattern of rows ``rows`` of ``a``; :data:`VIRTUAL` picks the empty row.
+
+    One ragged gather copies every picked row's column indices at once,
+    so the cost is the picked rows' nnz, whatever the size of ``a``.
+    """
+    start = a.indptr[rows]
+    stop = np.where(rows == VIRTUAL, start, a.indptr[rows + 1])
+    length = stop - start
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(length, out=indptr[1:])
+    take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], length)
+    ones = np.ones(len(take), dtype=np.float32)
+    return sp.csr_matrix((ones, a.indices[take], indptr), shape=(len(rows), a.shape[1]))
+
+
 def delta_rows(a: CSRMatrix, parent: np.ndarray, rows: np.ndarray) -> CSRMatrix:
-    """Delta rows ``rows`` of ``a`` under the parent array ``parent``.
+    """Delta rows ``rows`` of ``a`` under the parent array ``parent``,
+    reading only those rows and their parents' rows: the cost is their
+    nnz, not the matrix's.
 
     Returns a ``len(rows) × m`` CSR whose i-th row holds +1 at the Δ⁺ and
     −1 at the Δ⁻ columns of row ``rows[i]``, sorted by column.  Values of
     ``a`` are ignored: every stored entry counts as a one.
     """
-    n, m = a.shape
     rows = np.asarray(rows, dtype=np.int64)
-    # Row n of the pattern is the empty row that virtual parents stand for.
-    ones = np.ones(a.nnz, dtype=np.float32)
-    pattern = sp.csr_matrix((ones, a.indices, np.append(a.indptr, a.nnz)), shape=(n + 1, m))
-    ref = parent[rows]
-    d = pattern[rows] - pattern[np.where(ref == VIRTUAL, n, ref)]
-    return CSRMatrix(d.indptr, d.indices, d.data, (len(rows), m), check=False)
+    d = _gather(a, rows) - _gather(a, parent[rows])
+    return CSRMatrix(d.indptr, d.indices, d.data, d.shape, check=False)
 
 
 def build_delta_matrix(a: CSRMatrix, tree: CompressionTree) -> CSRMatrix:

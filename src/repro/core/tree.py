@@ -5,22 +5,29 @@ the virtual node (the empty row) is encoded as :data:`VIRTUAL` (-1).  Rows
 parented by the virtual node are stored as plain adjacency lists; every
 other row is stored as deltas against its parent.
 
-Beyond the parent array the class precomputes the orderings the
-multiplication kernels need:
+The tree owns a frozen copy of its parent array and computes, once while
+validating it, the orderings the multiplication kernels need:
 
 * :meth:`topological_order` — parents before children (update stage,
   Section IV).
-* :meth:`levels` — edges grouped by depth; within one level no child is
-  another child's parent, which is what lets the update stage run as a
-  handful of vectorised batched row additions instead of one axpy per edge.
+* :meth:`levels` / :meth:`level_pairs` — edges grouped by depth; within
+  one level no child is another child's parent, which is what lets the
+  update stage run as a handful of vectorised batched row additions
+  instead of one axpy per edge.
 * :meth:`branches` — the branch decomposition of Section V-B: each subtree
-  hanging off the virtual node is an independent unit of parallel work.
+  hanging off the virtual node is an independent unit of parallel work
+  (derived lazily, on first use).
+
+All of them are read-only arrays.  Only ``weight`` may change without
+the parent array changing (a streaming patch re-counts some rows'
+deltas), and :meth:`CompressionTree.reweighted` makes such a tree
+sharing the parent array and schedule instead of re-validating them.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -30,30 +37,71 @@ VIRTUAL = -1
 """Parent value marking rows compressed against the virtual (empty) row."""
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class _Schedule:
+    """Depth-derived orderings of one validated parent array.
+
+    Shared by every tree over the same parent array (see
+    :meth:`CompressionTree.reweighted`), so no patched snapshot pays for
+    it again; the branch decomposition is filled in on first use.
+    """
+
+    __slots__ = ("depth", "order", "levels", "level_parents", "branches")
+
+    def __init__(self, parent: np.ndarray, depth: np.ndarray):
+        self.depth = _frozen(depth)
+        self.order = _frozen(np.argsort(depth, kind="stable"))
+        # Level k is the run of depth-k rows in the depth-sorted order.
+        maxd = int(depth.max(initial=0))
+        bounds = np.searchsorted(depth[self.order], np.arange(1, maxd + 2))
+        self.levels = [self.order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)]
+        self.level_parents = [_frozen(parent[lv]) for lv in self.levels]
+        self.branches: list[np.ndarray] | None = None
+
+
 @dataclass
 class CompressionTree:
     """Rooted forest over matrix rows; roots hang off the virtual node.
 
-    ``parent[x]`` is the reference row of row ``x`` or :data:`VIRTUAL`.
-    ``weight[x]`` is the number of deltas used to encode row ``x`` (for a
-    virtual-parent row this equals its nnz).
+    ``parent[x]`` is the reference row of row ``x`` or :data:`VIRTUAL`;
+    the tree keeps its own read-only int64 copy, so the caller's array
+    is never frozen or aliased.  ``weight[x]`` is the number of deltas
+    used to encode row ``x`` (for a virtual-parent row this equals its
+    nnz).
     """
 
     parent: np.ndarray
     weight: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        self.parent = np.asarray(self.parent, dtype=np.int64).ravel()
-        n = len(self.parent)
+        self.parent = np.ravel(self.parent).astype(np.int64)
         if self.weight is None:
-            self.weight = np.zeros(n, dtype=np.int64)
+            self.weight = np.zeros(self.n, dtype=np.int64)
         else:
-            self.weight = np.asarray(self.weight, dtype=np.int64).ravel()
-            if len(self.weight) != n:
-                raise TreeError(
-                    f"weight has length {len(self.weight)}, expected {n}"
-                )
+            self.weight = self._checked_weight(self.weight)
         self.validate()
+
+    def _checked_weight(self, weight) -> np.ndarray:
+        weight = np.asarray(weight, dtype=np.int64).ravel()
+        if len(weight) != self.n:
+            raise TreeError(f"weight has length {len(weight)}, expected {self.n}")
+        return weight
+
+    def reweighted(self, weight) -> CompressionTree:
+        """This tree with new per-row delta counts, sharing its frozen
+        parent array and schedule: nothing is re-validated, only the
+        length of ``weight`` is checked.
+
+        Streaming patches use it: they re-count some rows' deltas but
+        never move a parent.
+        """
+        tree = copy.copy(self)
+        tree.weight = self._checked_weight(weight)
+        return tree
 
     # ------------------------------------------------------------------
     @property
@@ -63,8 +111,9 @@ class CompressionTree:
     def validate(self) -> None:
         """Check parent indices and acyclicity; raise :class:`TreeError`.
 
-        The depths computed for the cycle check fill the cache that
-        :meth:`levels` and :meth:`topological_order` read.
+        Freezes the parent array and computes the schedule from the
+        depths the cycle check produces, so a tree runs :meth:`depth`
+        once in its life.
         """
         n = self.n
         bad = (self.parent != VIRTUAL) & ((self.parent < 0) | (self.parent >= n))
@@ -76,35 +125,31 @@ class CompressionTree:
         depth = self.depth()
         if n and depth.max(initial=0) >= n + 1:
             raise TreeError("compression tree contains a cycle")
-        self._depth = depth
+        _frozen(self.parent)
+        self._schedule = _Schedule(self.parent, depth)
 
     def depth(self) -> np.ndarray:
         """Depth of each row: 0 for virtual-parent rows, parent depth + 1 else.
 
-        Computed by repeated relaxation (each pass finalises one level), so a
-        cycle shows up as depths exceeding n, which :meth:`validate` rejects.
+        Computed by repeated relaxation (each pass finalises one level).
+        A pass that resolves no row means the rows still pending lie on
+        or below a cycle; they are marked n + 1, which :meth:`validate`
+        rejects.
         """
         n = self.n
         depth = np.where(self.parent == VIRTUAL, 0, -1).astype(np.int64)
         pending = np.flatnonzero(depth < 0)
-        guard = 0
         while len(pending):
             pd = depth[self.parent[pending]]
             ready = pd >= 0
-            depth[pending[ready]] = pd[ready] + 1
-            pending = pending[~ready]
-            guard += 1
-            if guard > n + 1:
-                # Remaining rows form cycles; mark them past n for validate().
+            if not ready.any():
                 depth[pending] = n + 1
                 break
+            depth[pending[ready]] = pd[ready] + 1
+            pending = pending[~ready]
         return depth
 
     # ------------------------------------------------------------------
-    @cached_property
-    def _depth(self) -> np.ndarray:
-        return self.depth()
-
     @property
     def roots(self) -> np.ndarray:
         """Rows compressed directly against the virtual node."""
@@ -121,7 +166,7 @@ class CompressionTree:
 
     def topological_order(self) -> np.ndarray:
         """All rows ordered so every parent precedes its children."""
-        return np.argsort(self._depth, kind="stable")
+        return self._schedule.order
 
     def levels(self) -> list[np.ndarray]:
         """Non-root rows grouped by depth (level k children have level-(k-1) parents).
@@ -131,16 +176,13 @@ class CompressionTree:
         one vectorised batch because their parents all live at strictly
         smaller depths.
         """
-        d = self._depth
-        maxd = int(d.max(initial=0))
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-        out = []
-        for k in range(1, maxd + 1):
-            lo = np.searchsorted(ds, k, side="left")
-            hi = np.searchsorted(ds, k, side="right")
-            out.append(order[lo:hi])
-        return out
+        return list(self._schedule.levels)
+
+    def level_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(children, parents)`` per level: :meth:`levels` with each
+        level's parent rows, ``parent[children]``."""
+        s = self._schedule
+        return list(zip(s.levels, s.level_parents, strict=True))
 
     def branches(self) -> list[np.ndarray]:
         """Subtrees hanging off the virtual node, each in topological order.
@@ -149,17 +191,20 @@ class CompressionTree:
         dependencies across branches, so each list can be replayed by a
         different thread.  Rows include the branch root itself.
         """
-        n = self.n
-        # Union-find-free labelling: propagate root label down by depth.
-        label = np.full(n, -1, dtype=np.int64)
-        order = self.topological_order()
-        for x in order:
-            p = self.parent[x]
-            label[x] = x if p == VIRTUAL else label[p]
-        groups: dict[int, list[int]] = {}
-        for x in order:
-            groups.setdefault(int(label[x]), []).append(int(x))
-        return [np.asarray(groups[r], dtype=np.int64) for r in sorted(groups)]
+        s = self._schedule
+        if s.branches is None:
+            # Union-find-free labelling: propagate root label down by depth.
+            label = np.full(self.n, -1, dtype=np.int64)
+            for x in s.order:
+                p = self.parent[x]
+                label[x] = x if p == VIRTUAL else label[p]
+            groups: dict[int, list[int]] = {}
+            for x in s.order:
+                groups.setdefault(int(label[x]), []).append(int(x))
+            s.branches = [
+                _frozen(np.asarray(groups[r], dtype=np.int64)) for r in sorted(groups)
+            ]
+        return list(s.branches)
 
     def children_counts(self) -> np.ndarray:
         """Number of direct children of each row (virtual node excluded)."""
@@ -174,7 +219,7 @@ class CompressionTree:
 
     def stats(self) -> dict:
         """Shape summary used by benchmarks and the parallel simulator."""
-        d = self._depth
+        d = self._schedule.depth
         branches = self.branches()
         return {
             "rows": self.n,

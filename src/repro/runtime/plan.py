@@ -30,7 +30,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -162,12 +161,10 @@ class KernelPlan:
         self._sp_lock = threading.Lock()
 
         # --- update stage ---------------------------------------------
-        # Level schedule: (children, parents) per depth, parents resolved
-        # once instead of per call.
-        levels = tree.levels()
-        self.level_pairs: list[tuple[np.ndarray, np.ndarray]] = [
-            (lv, self._parent[lv]) for lv in levels
-        ]
+        # Level schedule: (children, parents) per depth.  The tree
+        # computed it once when it was validated, and patched snapshots
+        # share it, so taking it costs O(levels).
+        self.level_pairs: list[tuple[np.ndarray, np.ndarray]] = tree.level_pairs()
         # Edge schedule (paper-literal ablation): rows in topological
         # order; roots (virtual parent) are skipped up front.
         if update == "edge":
@@ -201,9 +198,10 @@ class KernelPlan:
         self.stats.build_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------
-    @cached_property
+    @property
     def branches(self) -> list[np.ndarray]:
-        """Branch decomposition (Section V-B), computed once per plan."""
+        """Branch decomposition (Section V-B), computed once per tree
+        schedule and shared by every plan over it."""
         return self._tree.branches()
 
     @property

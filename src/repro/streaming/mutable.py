@@ -7,7 +7,19 @@ of ``u`` itself and of ``u``'s direct children (whose diffs are taken
 against ``u``'s content).  :func:`patch_cbm` exploits exactly that — an
 edge batch is applied by recomputing only the affected rows' delta sets
 and splicing them into fresh CSR arrays, leaving every other row's
-storage byte-identical.
+storage byte-identical.  What a patch costs:
+
+* the edits and the delta extraction read only the mutated rows and the
+  affected rows with their parents (:func:`~repro.core.deltas.delta_rows`),
+  so they cost the batch plus those rows' nnz;
+* the copy-on-write splice of the source and delta arrays is one
+  O(n + nnz) copy each, which immutable snapshots cannot avoid (one
+  O(n) mask over the parent array also finds the mutated rows'
+  children);
+* nothing tree-shaped is redone: a patch never moves a parent, so the
+  new tree (:meth:`~repro.core.tree.CompressionTree.reweighted`) shares
+  the frozen parent array and level schedule, and the plan for the next
+  read takes that schedule as it is.
 
 The patched matrix is always an *exact* representation of the mutated
 adjacency (``tocsr()`` reproduces it bit-for-bit); what decays is
@@ -34,7 +46,6 @@ import numpy as np
 from repro.core.builder import build_cbm
 from repro.core.cbm import CBMMatrix, Variant
 from repro.core.deltas import delta_rows
-from repro.core.tree import CompressionTree
 from repro.errors import CompressionError, ShapeError, StalenessError
 from repro.sparse.csr import CSRMatrix
 
@@ -145,8 +156,9 @@ def patch_cbm(
     ``source_nnz`` are updated so the structural audits
     (weight-agreement, nnz accounting) stay exact on the patched
     artifact.  Inserting an edge already present (or deleting an absent
-    one) is a counted no-op, never an error — mutation feeds are
-    routinely at-least-once.
+    one), or repeating an edge within the batch, is a counted no-op,
+    never an error — mutation feeds are routinely at-least-once — so
+    ``inserted + deleted + noops == batch.num_edges``.
 
     Raises :class:`~repro.errors.CompressionError` for scaled variants:
     the AD/DAD diagonals are degree-derived, and mutations change
@@ -172,13 +184,17 @@ def patch_cbm(
                 f"{what} edges out of range for a {n}x{m} adjacency"
             )
 
+    # Fold each row's inserts and deletes into sets; a pair repeated
+    # inside the batch is a no-op like any other redundant mutation.
     adds: dict[int, set[int]] = {}
     rems: dict[int, set[int]] = {}
-    for u, v in batch.inserts:
-        adds.setdefault(int(u), set()).add(int(v))
-    for u, v in batch.deletes:
-        rems.setdefault(int(u), set()).add(int(v))
-    for u in set(adds) & set(rems):
+    noops = 0
+    for edges, cols_of in ((batch.inserts, adds), (batch.deletes, rems)):
+        for u, v in edges.tolist():
+            cols = cols_of.setdefault(u, set())
+            noops += v in cols
+            cols.add(v)
+    for u in adds.keys() & rems.keys():
         both = adds[u] & rems[u]
         if both:
             raise CompressionError(
@@ -188,19 +204,19 @@ def patch_cbm(
 
     # New row contents for effectively-changed rows (no-ops drop out).
     new_rows: dict[int, np.ndarray] = {}
-    inserted = deleted = noops = 0
-    for u in sorted(set(adds) | set(rems)):
-        old = np.asarray(source.row(u))
-        add = np.fromiter(adds.get(u, ()), dtype=np.int64)
-        rem = np.fromiter(rems.get(u, ()), dtype=np.int64)
-        real_add = np.setdiff1d(add, old)
-        real_rem = np.intersect1d(rem, old)
+    inserted = deleted = 0
+    for u in sorted(adds.keys() | rems.keys()):
+        old = set(source.row(u).tolist())
+        add = adds.get(u, set())
+        rem = rems.get(u, set())
+        real_add = add - old
+        real_rem = rem & old
         noops += (len(add) - len(real_add)) + (len(rem) - len(real_rem))
-        if not len(real_add) and not len(real_rem):
+        if not real_add and not real_rem:
             continue
         inserted += len(real_add)
         deleted += len(real_rem)
-        new_rows[u] = np.setdiff1d(np.union1d(old, real_add), real_rem)
+        new_rows[u] = np.array(sorted((old - real_rem) | real_add), dtype=np.int64)
 
     stats = {
         "inserted": inserted,
@@ -221,9 +237,10 @@ def patch_cbm(
     )
     # Affected delta rows: the mutated rows plus their direct children
     # (a child's delta sets are diffs against the mutated content).
-    touched = np.fromiter(new_rows, dtype=np.int64)
     parent = cbm.tree.parent
-    affected = np.union1d(touched, np.flatnonzero(np.isin(parent, touched)))
+    mutated = np.zeros(n + 1, dtype=bool)  # the last slot answers parent VIRTUAL
+    mutated[list(new_rows)] = True
+    affected = np.flatnonzero(mutated[:n] | mutated[parent])
     block = delta_rows(source2, parent, affected)
     new_weight = cbm.tree.weight.copy()
     new_weight[affected] = block.row_nnz()
@@ -231,10 +248,11 @@ def patch_cbm(
         cbm.delta,
         {int(x): (block.row(i), block.row_values(i)) for i, x in enumerate(affected)},
     )
-    # Fresh tree/CBM objects (parent array shared, it never changes):
-    # published snapshots stay immutable, and the plan-fingerprint check
-    # in CBMMatrix.plan() rebuilds kernel plans automatically.
-    tree2 = CompressionTree(parent=parent, weight=new_weight)
+    # Fresh tree/CBM objects: published snapshots stay immutable, and
+    # the plan-fingerprint check in CBMMatrix.plan() rebuilds kernel
+    # plans automatically.  The parent array never changes, so the new
+    # tree shares it and its level schedule instead of re-validating.
+    tree2 = cbm.tree.reweighted(new_weight)
     cbm2 = CBMMatrix(
         tree=tree2,
         delta=delta2,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.builder import build_cbm
 from repro.core.deltas import (
     build_delta_matrix,
+    delta_rows,
     delta_sets,
     reconstruct_rows,
     scale_delta_matrix,
@@ -164,6 +165,57 @@ class TestBuildDeltaMatrixMatchesReference:
         doctored = CompressionTree(parent=tree.parent, weight=weight)
         with pytest.raises(CompressionError, match=rf"^row {min(bad)}: expected"):
             build_delta_matrix(a, doctored)
+
+
+def picked_rows(m: CSRMatrix, rows) -> CSRMatrix:
+    """Rows ``rows`` of ``m``, in that order, as a CSR of the same dtypes."""
+    rows = list(rows)
+    indptr = np.zeros(len(rows) + 1, dtype=m.indptr.dtype)
+    np.cumsum([len(m.row(x)) for x in rows], out=indptr[1:])
+    indices = np.concatenate([m.row(x) for x in rows] + [m.indices[:0]])
+    data = np.concatenate([m.row_values(x) for x in rows] + [m.data[:0]])
+    return CSRMatrix(indptr, indices, data, (len(rows), m.shape[1]), check=False)
+
+
+def assert_bitwise_equal(got: CSRMatrix, want: CSRMatrix) -> None:
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+class TestDeltaRows:
+    """delta_rows gathers only the rows it is asked for; each must equal
+    the same row of the full build."""
+
+    def test_virtual_empty_and_copied_rows(self):
+        dense = np.array(
+            [
+                [1, 1, 0, 0],  # 0: virtual parent
+                [1, 1, 0, 0],  # 1: identical to its parent 0
+                [0, 0, 0, 0],  # 2: empty, parent 0 (all minus)
+                [0, 1, 1, 0],  # 3: virtual parent
+                [0, 0, 0, 0],  # 4: empty, virtual parent
+                [0, 1, 1, 1],  # 5: parent 3
+            ],
+            dtype=np.float32,
+        )
+        a = from_dense(dense)
+        tree = CompressionTree(parent=np.array([VIRTUAL, 0, 0, VIRTUAL, VIRTUAL, 3]))
+        full = build_delta_matrix(a, tree)
+        for rows in ([5, 1, 2, 4, 0], [1], [4], [2, 2], []):
+            got = delta_rows(a, tree.parent, np.array(rows, dtype=np.int64))
+            assert_bitwise_equal(got, picked_rows(full, rows))
+        assert delta_rows(a, tree.parent, np.array([1, 4])).nnz == 0
+
+    @given(matrices_with_trees(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_rows_of_full_build(self, case, data):
+        a, tree = case
+        rows = data.draw(st.lists(st.integers(0, a.shape[0] - 1), max_size=6))
+        got = delta_rows(a, tree.parent, np.array(rows, dtype=np.int64))
+        assert_bitwise_equal(got, picked_rows(build_delta_matrix(a, tree), rows))
 
 
 class TestScaleDeltaMatrix:

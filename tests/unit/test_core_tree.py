@@ -43,6 +43,79 @@ class TestValidation:
         t = CompressionTree(parent=np.array([], dtype=np.int64))
         assert t.n == 0
         assert t.topological_order().size == 0
+        assert t.levels() == [] and t.branches() == []
+
+    def test_cycle_below_a_long_chain_rejected(self):
+        """Rows hanging off a cycle never resolve either; the check stops
+        at the first pass that resolves nothing, however long the chain
+        above it or the forest beside it."""
+        n = 100_000
+        parent = np.full(n, VIRTUAL)
+        parent[1:1000] = np.arange(999)  # a 999-edge chain from row 0
+        parent[1000], parent[1001] = 1001, 1000  # a 2-cycle
+        parent[1002:1010] = 1001  # rows hanging off the cycle
+        with pytest.raises(TreeError, match="cycle"):
+            CompressionTree(parent=parent)
+
+    def test_reweighted_checks_weight_length(self):
+        with pytest.raises(TreeError):
+            chain_tree(3).reweighted(np.ones(4, dtype=np.int64))
+
+
+class TestFrozenSchedule:
+    def test_caller_array_stays_writable_and_unaliased(self):
+        parent = np.array([VIRTUAL, 0, 1], dtype=np.int64)
+        t = CompressionTree(parent=parent)
+        assert parent.flags.writeable
+        assert not np.shares_memory(parent, t.parent)
+        parent[2] = VIRTUAL
+        assert t.parent[2] == 1
+
+    def test_parent_and_schedule_are_read_only(self):
+        t = CompressionTree(parent=np.array([VIRTUAL, 0, 1, 0, VIRTUAL, 4]))
+        with pytest.raises(ValueError):
+            t.parent[1] = VIRTUAL
+        arrays = [t.topological_order(), *t.levels(), *t.branches()]
+        arrays += [ps for _, ps in t.level_pairs()]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_lists_are_fresh(self):
+        t = chain_tree(4)
+        t.levels().clear()
+        t.level_pairs().clear()
+        t.branches().clear()
+        assert len(t.levels()) == 3 and len(t.level_pairs()) == 3
+        assert len(t.branches()) == 1
+
+    def test_level_pairs_hold_each_levels_parents(self):
+        parent = np.array([VIRTUAL, 0, 0, 1, 2, VIRTUAL, 5])
+        t = CompressionTree(parent=parent)
+        pairs = t.level_pairs()
+        assert len(pairs) == len(t.levels())
+        for (lv, ps), level in zip(pairs, t.levels(), strict=True):
+            assert lv is level
+            assert np.array_equal(ps, parent[lv])
+
+    def test_reweighted_shares_parent_and_schedule(self, monkeypatch):
+        t = chain_tree(5)
+        t.branches()  # computed lazily, then shared too
+        calls = []
+        monkeypatch.setattr(
+            CompressionTree, "depth", lambda self: calls.append(1) or None
+        )
+        w = np.arange(5, dtype=np.int64)
+        r = t.reweighted(w)
+        assert calls == []
+        assert r.parent is t.parent
+        assert np.array_equal(r.weight, w) and np.all(t.weight == 1)
+        assert r.topological_order() is t.topological_order()
+        for (a, pa), (b, pb) in zip(r.level_pairs(), t.level_pairs(), strict=True):
+            assert a is b and pa is pb
+        for a, b in zip(r.branches(), t.branches(), strict=True):
+            assert a is b
+        assert r.stats() == {**t.stats(), "total_weight": int(w.sum())}
 
 
 class TestStructure:
@@ -61,6 +134,12 @@ class TestStructure:
         tree.stats()
         assert len(calls) == 1
         assert np.array_equal(tree.topological_order(), np.arange(6))
+        # A reweighted tree (what a streaming patch builds) runs it zero times.
+        patched = tree.reweighted(np.full(6, 2, dtype=np.int64))
+        patched.levels()
+        patched.level_pairs()
+        patched.stats()
+        assert len(calls) == 1
 
     def test_depth_chain(self):
         t = chain_tree(5)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.builder import build_cbm
+from repro.core.deltas import build_delta_matrix
+from repro.core.tree import CompressionTree
 from repro.errors import CompressionError, RecoveryError, ShapeError, StalenessError
 from repro.recovery import GenerationStore
 from repro.serving import AdjacencySlot, InferenceService
@@ -100,6 +102,26 @@ class TestPatchCBM:
         assert stats["noops"] == 2
         assert np.array_equal(src2.toarray(), d)
 
+    def test_repeats_inside_a_batch_are_noops(self):
+        """At-least-once feeds resend edges: the repeat is a counted no-op,
+        so every edge of the batch lands in exactly one counter."""
+        a = random_adjacency_csr(20, density=0.3, seed=12)
+        cbm, _ = build_cbm(a, alpha=0)
+        d = a.toarray()
+        u, v = map(int, np.argwhere(d > 0)[0])
+        mu, mv = map(int, np.argwhere((d == 0) & ~np.eye(20, dtype=bool))[0])
+        batch = EdgeBatch(
+            inserts=np.array([[mu, mv], [mu, mv]]),
+            deletes=np.array([[u, v], [u, v]]),
+        )
+        _, src2, stats = patch_cbm(cbm, a, batch)
+        assert (stats["inserted"], stats["deleted"], stats["noops"]) == (1, 1, 2)
+        assert stats["inserted"] + stats["deleted"] + stats["noops"] == batch.num_edges
+        report = MutableAdjacency(cbm, a).apply(batch)
+        assert report.inserted + report.deleted + report.noops == batch.num_edges
+        d[mu, mv], d[u, v] = 1.0, 0.0
+        assert np.array_equal(src2.toarray(), d)
+
     def test_patched_audit_passes_with_budget(self):
         a = random_adjacency_csr(40, density=0.2, seed=8)
         cbm, _ = build_cbm(a, alpha=0)
@@ -131,6 +153,47 @@ class TestPatchCBM:
         edge = np.array([[1, 2]])
         with pytest.raises(CompressionError):
             patch_cbm(cbm, a, EdgeBatch(inserts=edge, deletes=edge))
+
+
+class TestPatchContract:
+    """A patched snapshot is bitwise what a fresh extraction under the same
+    tree gives, and it reuses the tree's frozen parent array and schedule."""
+
+    @pytest.mark.parametrize("alpha", [0, 2])
+    def test_patched_deltas_equal_fresh_extraction(self, alpha, monkeypatch):
+        a = random_adjacency_csr(120, density=0.08, seed=30 + alpha)
+        cbm, _ = build_cbm(a, alpha=alpha)
+        depth_calls = []
+        depth = CompressionTree.depth
+        monkeypatch.setattr(
+            CompressionTree, "depth", lambda self: depth_calls.append(1) or depth(self)
+        )
+        mutable = MutableAdjacency(cbm, a, journal_limit=10**6)
+        for seed in range(120):
+            _, _, src = mutable.snapshot()
+            mutable.apply(EdgeBatch.random(src, inserts=4, deletes=4, seed=seed))
+            if seed % 20 == 19:
+                self.assert_fresh(*mutable.snapshot()[1:])
+        _, patched, src = mutable.snapshot()
+        assert not np.array_equal(src.toarray(), a.toarray())
+        assert depth_calls == []
+        tree = patched.tree
+        assert tree.parent is cbm.tree.parent
+        pairs = zip(tree.level_pairs(), cbm.tree.level_pairs(), strict=True)
+        for (lv, ps), (lv0, ps0) in pairs:
+            assert lv is lv0 and ps is ps0
+
+    @staticmethod
+    def assert_fresh(patched, src):
+        fresh = build_delta_matrix(src, patched.tree)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(patched.delta, name), getattr(fresh, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        want_weight = fresh.row_nnz()
+        assert patched.tree.weight.dtype == want_weight.dtype
+        assert np.array_equal(patched.tree.weight, want_weight)
+        assert np.array_equal(patched.tocsr().toarray(), src.toarray())
 
 
 class TestMutableAdjacency:
