@@ -75,26 +75,6 @@ def run_smoke_cli(description: str, smoke_fn, full_fn=None, argv=None) -> int:
     return 0
 
 
-@pytest.fixture(autouse=True)
-def shm_leak_check():
-    """Fail any benchmark that leaks a ``repro-shm-*`` segment.
-
-    Stale segments from previously *killed* runs are swept before the
-    test (they are debris, not this test's bug); anything still present
-    afterwards was created and not released by the test body — exactly
-    the leak the shard executor's registry/atexit hygiene exists to
-    prevent, so it fails loudly here instead of filling /dev/shm in CI.
-    """
-    from repro.parallel import shm
-
-    # min_age_s=0: on a CI runner any dead-pid segment is debris from a
-    # crashed earlier run, however young — no sibling-namespace caveat.
-    shm.sweep_stale(min_age_s=0.0)
-    yield
-    leaked = shm.list_segments()
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
-
-
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(2025)

@@ -54,6 +54,22 @@ from repro.utils.fmt import format_table, human_bytes, human_time
 from repro.utils.timing import measure
 
 
+def _count(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _timed(fn, repeats: int):
+    """``measure(fn)`` capped at ``repeats`` timed runs (any ``repeats >= 1``)."""
+    return measure(fn, min_repeats=min(3, repeats), max_repeats=repeats)
+
+
 def _load_graph(spec: str) -> tuple[str, CSRMatrix]:
     if spec in REGISTRY:
         return spec, load_dataset(spec)
@@ -133,9 +149,9 @@ def cmd_bench(args) -> int:
     cbm, rep = build_cbm(a, alpha=args.alpha)
     x = np.random.default_rng(0).random((a.shape[1], args.columns), dtype=np.float64)
     x = x.astype(np.float32)
-    t_csr = measure(lambda: spmm(a, x), max_repeats=args.repeats)
+    t_csr = _timed(lambda: spmm(a, x), args.repeats)
     cbm.plan()  # plan once, outside the timed region
-    t_cbm = measure(lambda: cbm.matmul(x), max_repeats=args.repeats)
+    t_cbm = _timed(lambda: cbm.matmul(x), args.repeats)
     print(f"{name} (alpha={args.alpha}, p={args.columns}, ratio={rep.compression_ratio:.2f}x)")
     print(f"  CSR SpMM   {human_time(t_csr.mean)} +- {human_time(t_csr.std)}")
     print(f"  CBM SpMM   {human_time(t_cbm.mean)} +- {human_time(t_cbm.std)} (planned)")
@@ -148,7 +164,7 @@ def cmd_bench(args) -> int:
         mode = "strict" if args.strict else "guarded"
         try:
             guard.matmul(x)  # warm (validation buffers, plan reuse)
-            t_guard = measure(lambda: guard.matmul(x), max_repeats=args.repeats)
+            t_guard = _timed(lambda: guard.matmul(x), args.repeats)
             overhead = (t_guard.mean / t_cbm.mean - 1.0) * 100.0
             print(
                 f"  CBM SpMM   {human_time(t_guard.mean)} +- {human_time(t_guard.std)} "
@@ -172,7 +188,7 @@ def cmd_bench(args) -> int:
             print("  strict mode: fallbacks occurred -> exit 1")
             exit_code = 1
     if args.unplanned:
-        t_unp = measure(lambda: cbm.matmul_unplanned(x), max_repeats=args.repeats)
+        t_unp = _timed(lambda: cbm.matmul_unplanned(x), args.repeats)
         print(f"  CBM SpMM   {human_time(t_unp.mean)} +- {human_time(t_unp.std)} (unplanned)")
         print(f"  plan amortisation: {t_unp.mean / t_cbm.mean:.2f}x")
     if args.graph in REGISTRY:
@@ -213,7 +229,6 @@ def cmd_model(args) -> int:
 def cmd_plan(args) -> int:
     from repro.parallel.cache import plan_working_set
     from repro.parallel.schedule import plan_update_schedule
-    from repro.utils.timing import measure as _measure
 
     name, a = _load_graph(args.graph)
     cbm, rep = build_cbm(a, alpha=args.alpha)
@@ -239,8 +254,8 @@ def cmd_plan(args) -> int:
           f"dense {human_bytes(ws.dense_bytes)} at p={args.columns}")
     x = np.random.default_rng(0).random((a.shape[1], args.columns), dtype=np.float64)
     x = x.astype(np.float32)
-    t_planned = _measure(lambda: cbm.matmul(x), max_repeats=args.repeats)
-    t_unplanned = _measure(lambda: cbm.matmul_unplanned(x), max_repeats=args.repeats)
+    t_planned = _timed(lambda: cbm.matmul(x), args.repeats)
+    t_unplanned = _timed(lambda: cbm.matmul_unplanned(x), args.repeats)
     print(f"  planned execute   {human_time(t_planned.mean)}")
     print(f"  unplanned matmul  {human_time(t_unplanned.mean)} "
           f"({t_unplanned.mean / t_planned.mean:.2f}x slower)")
@@ -410,12 +425,9 @@ def cmd_check_plan(args) -> int:
     stacked-operand :class:`BatchLayout` (mixed member widths up to the
     column cap, quantised) is proven free of cross-member aliasing,
     bounds violations, and unowned gap columns alongside each plan.
-    With ``--shards N`` the process-parallel shard plan is audited too:
-    every row owned by exactly one shard, and no two operand arrays
-    aliasing byte spans within a shared-memory segment.
     """
     from repro.serving.batching import BatchConfig, BatchLayout
-    from repro.staticcheck import analyze_plan, analyze_shard_plan
+    from repro.staticcheck import analyze_plan
 
     cfg = BatchConfig(max_columns=args.batch_columns)
     widths = []
@@ -440,16 +452,6 @@ def cmd_check_plan(args) -> int:
                     subject=f"{name}(alpha={args.alpha},update={update})",
                 )
             )
-        if args.shards > 0:
-            from repro.parallel.shard import ShardedPlan
-
-            with ShardedPlan(a, num_shards=args.shards, alpha=args.alpha) as sharded:
-                reports.append(
-                    analyze_shard_plan(
-                        sharded,
-                        subject=f"{name}(alpha={args.alpha},shards={args.shards})",
-                    )
-                )
     return _emit_check_reports(reports, args.json, args.verbose)
 
 
@@ -543,8 +545,7 @@ def cmd_check_concurrency(args) -> int:
     Lowers every plan shape the benchmarks construct — kernel plans
     (threaded branch replay and sequential level schedules, each with a
     prospective fused row-scaling stage), the stacked-operand batch
-    layout, the N-shard process plan with its shared-memory segments,
-    and the streaming snapshot/rebuild/publish protocol — into the
+    layout, and the streaming snapshot/rebuild/publish protocol — into the
     unified IR and proves each free of span-discipline violations and
     happens-before races (HZ-R4xx).  Then runs the lock-order and
     blocking-call analysis (SC7xx) over the source tree, and with
@@ -560,7 +561,6 @@ def cmd_check_concurrency(args) -> int:
         cross_check,
         lower_batch_layout,
         lower_kernel_plan,
-        lower_shard_plan,
         lower_stream_swap,
     )
 
@@ -600,18 +600,6 @@ def cmd_check_concurrency(args) -> int:
                 lower_batch_layout(layout, subject=f"{name}(batch-layout)")
             )
         )
-        if args.shards > 0:
-            from repro.parallel.shard import ShardedPlan
-
-            with ShardedPlan(a, num_shards=args.shards, alpha=args.alpha) as sharded:
-                reports.append(
-                    analyze_ir(
-                        lower_shard_plan(
-                            sharded,
-                            subject=f"{name}(shards={args.shards})",
-                        )
-                    )
-                )
     reports.append(analyze_ir(lower_stream_swap()))
     graph = None
     if not args.no_locks:
@@ -759,89 +747,6 @@ def cmd_stream_soak(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_shard_soak(args) -> int:
-    """Worker-kill soak of the sharded process executor (repro.parallel.soak).
-
-    Exit 0 only when every supervised execution under the SIGKILL/stall/
-    torn-write storm returned the reference answer within its deadline
-    and no ``/dev/shm`` segment survived the run.  With
-    ``--no-supervisor`` the same storm runs against the unsupervised
-    pool and the expected outcome inverts: a nonzero exit proves the
-    harness's wrongness/hang checks have teeth (negative control).
-    """
-    import json
-
-    from repro.parallel.soak import run_shard_soak
-
-    a = None
-    if args.graph:
-        _, a = _load_graph(args.graph)
-
-    def progress(done, total, elapsed, wrong, hung):
-        if args.verbose:
-            print(
-                f"  [{done:3d}/{total}] {elapsed * 1e3:7.1f} ms "
-                f"wrong={wrong} hung={hung}"
-            )
-
-    report = run_shard_soak(
-        a,
-        n=args.nodes,
-        num_shards=args.shards,
-        workers=args.workers,
-        executions=args.executions,
-        columns=args.columns,
-        variant=args.variant,
-        kill_rate=args.kill_rate,
-        stall_rate=args.stall_rate,
-        torn_rate=args.torn_rate,
-        stall_seconds=args.stall_seconds,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        deadline_s=args.deadline,
-        supervised=not args.no_supervisor,
-        seed=args.seed,
-        progress=progress,
-    )
-    w = report["workload"]
-    print(
-        f"shard soak — {w['nodes']} nodes, {w['nnz']} edges, "
-        f"{w['num_shards']} shards × {w['workers']} workers, "
-        f"{'supervised' if w['supervised'] else 'UNSUPERVISED'} "
-        f"({report['elapsed_s']:.1f}s)"
-    )
-    print(f"  executions             {w['executions']} "
-          f"(wrong {report['wrong']}, hung {report['hung']}, "
-          f"errors {report['errors']})")
-    print(f"  faults decided         {report['faults_decided']} "
-          f"(kill {report['chaos']['kill_rate']}, "
-          f"stall {report['chaos']['stall_rate']}, "
-          f"torn {report['chaos']['torn_rate']})")
-    if report["supervisor"] is not None:
-        s = report["supervisor"]["stats"]
-        print(f"  supervision            retries={s['shard_retries']} "
-              f"heartbeat_kills={s['heartbeat_kills']} "
-              f"checksum_rejects={s['checksum_rejects']} "
-              f"quarantines={s['quarantines']} "
-              f"degraded={s['degraded_executions']}")
-        print(f"  breaker                {report['supervisor']['breaker']['tier']} "
-              f"({report['supervisor']['breaker']['state']})")
-    print(f"  latency p50/max        {report['latency_p50_ms'] or 0:.1f} / "
-          f"{report['latency_max_ms'] or 0:.1f} ms")
-    print(f"  shm swept at start     {len(report['swept_at_start'])}")
-    print(f"  shm leaked at end      {len(report['leaked_segments'])}")
-    for name, ok in report["checks"].items():
-        print(f"  {'PASS' if ok else 'FAIL'}  {name}")
-    for v in report["violations"]:
-        print(f"  violation: {v}")
-    print(f"  {'OK' if report['ok'] else 'FAIL'}: "
-          f"{len(report['violations'])} violation(s)")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True, default=str)
-        print(f"  report written to {args.json}")
-    return 0 if report["ok"] else 1
-
-
 def cmd_tune(args) -> int:
     """Race a graph's GCN serving slot: CBM(DAD) plan vs float32 CSR.
 
@@ -921,9 +826,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph")
     p.add_argument("-a", "--alpha", type=int, default=0)
-    p.add_argument("-p", "--columns", type=int, default=500)
-    p.add_argument("-t", "--threads", type=int, default=16)
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("-p", "--columns", type=_count, default=500)
+    p.add_argument("-t", "--threads", type=_count, default=16)
+    p.add_argument("--repeats", type=_count, default=10)
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser(
@@ -970,13 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="executor watchdog budget assumed per branch (None disables "
         "the timeout owner and flags a coverage gap)",
     )
-    pc.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="also build an N-shard process plan and audit it "
-        "(row coverage/overlap, shared-memory segment aliasing)",
-    )
     pc.add_argument("--json", help="write the structured audit report here")
     pc.add_argument("--verbose", action="store_true", help="print passed checks too")
     pc.set_defaults(fn=cmd_check_plan)
@@ -1006,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = check_sub.add_parser(
         "concurrency",
         help="whole-stack concurrency verifier: lower every plan shape "
-        "(kernel plans, batch layouts, shard plans, streaming swaps, "
+        "(kernel plans, batch layouts, streaming swaps, "
         "prospective fused stages) into the unified IR, prove each free "
         "of span violations and happens-before races (HZ-R4xx), and run "
         "the lock-order/deadlock analysis over the source tree (SC7xx)",
@@ -1023,13 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="column cap of the representative stacked-operand batch layout",
-    )
-    pc.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="also lower an N-shard process plan with its shared-memory "
-        "segments (0 disables)",
     )
     pc.add_argument(
         "--paths",
@@ -1114,41 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the race result here")
     p.set_defaults(fn=cmd_tune)
 
-    p = sub.add_parser(
-        "shard-soak",
-        help="worker-kill soak of the sharded process executor: SIGKILL/"
-        "stall/torn-write chaos against supervised multi-process "
-        "executions, every result verified against the CSR reference "
-        "and /dev/shm checked for leaks (nonzero exit on any violation)",
-    )
-    p.add_argument("--graph", default=None,
-                   help="dataset name or .npz path (default: synthetic graph)")
-    p.add_argument("--nodes", type=int, default=400,
-                   help="synthetic graph size when --graph is not given")
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--executions", type=int, default=24)
-    p.add_argument("-p", "--columns", type=int, default=8)
-    p.add_argument("--variant", default="DAD", choices=("A", "AD", "DAD"))
-    p.add_argument("--kill-rate", type=float, default=0.12,
-                   help="per-(shard,epoch) probability of SIGKILL at a random sync point")
-    p.add_argument("--stall-rate", type=float, default=0.08,
-                   help="probability of a heartbeat-silent stall")
-    p.add_argument("--torn-rate", type=float, default=0.12,
-                   help="probability of a half-written slice with a lying commit")
-    p.add_argument("--stall-seconds", type=float, default=3.0)
-    p.add_argument("--heartbeat-timeout", type=float, default=0.75,
-                   help="supervisor heartbeat staleness deadline")
-    p.add_argument("--deadline", type=float, default=20.0,
-                   help="per-execution hang budget in seconds")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-supervisor", action="store_true",
-                   help="run the storm unsupervised; the soak must then "
-                   "FAIL (negative control)")
-    p.add_argument("--json", help="write the full JSON report here")
-    p.add_argument("--verbose", action="store_true", help="print every execution")
-    p.set_defaults(fn=cmd_shard_soak)
-
     p = sub.add_parser("verify", help="run the paper's Section VI-B correctness protocol")
     p.add_argument("graph")
     p.add_argument("-a", "--alpha", type=int, default=0)
@@ -1159,8 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time CSR vs CBM SpMM")
     p.add_argument("graph")
     p.add_argument("-a", "--alpha", type=int, default=4)
-    p.add_argument("-p", "--columns", type=int, default=500)
-    p.add_argument("--repeats", type=int, default=15)
+    p.add_argument("-p", "--columns", type=_count, default=500)
+    p.add_argument("--repeats", type=_count, default=15)
     p.add_argument(
         "--unplanned",
         action="store_true",

@@ -79,12 +79,6 @@ class WatchdogTimeout(ParallelError):
     """An update-stage worker exceeded the per-branch watchdog timeout."""
 
 
-class ShardError(ParallelError):
-    """A sharded multi-process execution failed beyond what the shard
-    supervisor could retry or degrade around; the output buffer has been
-    invalidated (NaN-poisoned), never served half-written."""
-
-
 class NumericalError(ReproError, ArithmeticError):
     """A kernel input or output contains non-finite values (NaN/Inf)."""
 

@@ -1,18 +1,13 @@
 """Parallel execution substrate (paper Section V-B and VI).
 
 The paper evaluates on a 16-core Intel Xeon Gold 6130 with OpenMP thread
-pinning.  This container has one CPU, so this package provides two layers:
+pinning.  The reproduction runs on a 2-core machine, so this package
+provides two layers:
 
 * :mod:`repro.parallel.executor` — a *real* thread-pool execution of the
-  CBM update stage over compression-tree branches.  Correct on any core
-  count (verified by tests); it simply cannot show 16-way scaling here.
-* :mod:`repro.parallel.shard`, :mod:`repro.parallel.supervisor`,
-  :mod:`repro.parallel.shm`, :mod:`repro.parallel.soak` — *process*
-  parallelism (ROADMAP item 2): degree-aware row-block shards with
-  per-shard compression trees, operands in registered shared memory, a
-  crash-isolating shard supervisor (heartbeats, retry with jittered
-  backoff, quarantine, breaker-laddered degradation to the in-process
-  path), and the worker-kill soak harness behind ``repro shard-soak``.
+  CBM update stage over compression-tree branches, the paper's
+  shared-memory parallelism.  Correct on any core count (verified by
+  tests); it simply cannot show 16-way scaling here.
 * :mod:`repro.parallel.machine`, :mod:`repro.parallel.cache`,
   :mod:`repro.parallel.schedule`, :mod:`repro.parallel.simulate` — a
   shared-memory machine model (cores, cache hierarchy, bandwidth) and a
@@ -35,9 +30,7 @@ from repro.parallel.schedule import (
     plan_update_schedule,
     simulate_dynamic_schedule,
 )
-from repro.parallel.shard import ShardedPlan
 from repro.parallel.simulate import KernelCost, predict_cbm_spmm, predict_csr_spmm
-from repro.parallel.supervisor import ShardSupervisor, unsupervised_execute
 from repro.parallel.trace import ScheduleTrace, TaskEvent, render_gantt, traced_schedule
 
 __all__ = [
@@ -53,9 +46,6 @@ __all__ = [
     "simulate_dynamic_schedule",
     "ThreadedUpdateExecutor",
     "parallel_matmul",
-    "ShardedPlan",
-    "ShardSupervisor",
-    "unsupervised_execute",
     "KernelCost",
     "predict_cbm_spmm",
     "predict_csr_spmm",

@@ -9,10 +9,9 @@ Branches are data-independent, so no synchronisation is needed beyond the
 queue.
 
 NumPy releases the GIL inside the vectorised row operations, so on a
-multi-core host the workers genuinely overlap; on this reproduction's
-single-core container the executor is still exercised for correctness
-while the :mod:`repro.parallel.simulate` model predicts the 16-core
-behaviour.
+multi-core host the workers genuinely overlap; the reproduction's
+2-core machine cannot show 16-way scaling, so the
+:mod:`repro.parallel.simulate` model predicts the 16-core behaviour.
 
 Failure semantics (the *guarded execution* contract)
 ----------------------------------------------------

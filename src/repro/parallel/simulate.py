@@ -1,6 +1,6 @@
 """Roofline-style performance prediction for CSR and CBM SpMM kernels.
 
-The container running this reproduction has one core, so 16-thread
+The machine running this reproduction has two cores, so 16-thread
 wall-clock cannot be measured.  Instead, kernel times are *predicted* from
 first principles on the modelled Xeon Gold 6130:
 

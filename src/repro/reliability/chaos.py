@@ -12,11 +12,8 @@ corrupted inputs for them.
 from __future__ import annotations
 
 import json
-import os
-import signal
 import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,97 +306,4 @@ class ChaosExecutorFactory:
             "injected_stalls": self.injected_stalls,
             "fail_rate": self.fail_rate,
             "stall_rate": self.stall_rate,
-        }
-
-
-# ---------------------------------------------------------------------------
-# Process-level fault injection (sharded multi-process execution)
-# ---------------------------------------------------------------------------
-
-#: Sync points at which a kill/stall may fire, mirroring
-#: :data:`repro.parallel.shard.SYNC_POINTS`; ``"write"`` is the torn-write
-#: site (between the output-slice write and the commit).
-SHARD_FAULT_POINTS = ("start", "multiplied", "updated", "commit")
-
-
-@dataclass(frozen=True)
-class ShardFault:
-    """One decided fault for one (shard, epoch, attempt) worker run.
-
-    ``action``: ``"kill"`` (SIGKILL self — the un-catchable worker death),
-    ``"stall"`` (sleep without heartbeating, so only the supervisor's
-    heartbeat deadline can notice), or ``"torn"`` (write only half the
-    output slice but commit the epoch *and* the checksum of the intended
-    result — a lying commit that epoch-level verification cannot catch,
-    existing precisely to prove the checksum tier has teeth).
-    """
-
-    action: str
-    point: str
-    stall_seconds: float = 30.0
-
-    def fire(self) -> None:
-        """Execute a kill/stall at its sync point (torn fires at the
-        write site inside :func:`repro.parallel.shard.run_shard`)."""
-        if self.action == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif self.action == "stall":
-            time.sleep(self.stall_seconds)
-
-
-class ShardChaos:
-    """Picklable, fully deterministic process-fault injector.
-
-    Decisions are a pure function of ``(seed, shard, epoch, attempt)`` —
-    no shared counters, because the decider runs inside worker processes.
-    Including the attempt number is what makes injected faults
-    *transient*: the supervisor's retry of a killed shard draws a fresh
-    decision instead of deterministically dying the same death forever
-    (persistent faults are what quarantine is for, and the soak exercises
-    those too by raising the rates).  The parent can replay
-    :meth:`decide` with the same arguments to know exactly what each
-    worker run was dealt.
-    """
-
-    def __init__(
-        self,
-        *,
-        kill_rate: float = 0.0,
-        stall_rate: float = 0.0,
-        torn_rate: float = 0.0,
-        stall_seconds: float = 30.0,
-        seed: int = 0,
-    ):
-        total = kill_rate + stall_rate + torn_rate
-        if not 0.0 <= total <= 1.0:
-            raise ValueError(
-                f"kill+stall+torn rates must lie in [0, 1], got {total}"
-            )
-        if min(kill_rate, stall_rate, torn_rate) < 0:
-            raise ValueError("fault rates must be non-negative")
-        self.kill_rate = kill_rate
-        self.stall_rate = stall_rate
-        self.torn_rate = torn_rate
-        self.stall_seconds = stall_seconds
-        self.seed = seed
-
-    def decide(self, shard: int, epoch: int, attempt: int = 0) -> ShardFault | None:
-        rng = np.random.default_rng((self.seed, shard, epoch, attempt))
-        draw = float(rng.random())
-        point = SHARD_FAULT_POINTS[int(rng.integers(0, len(SHARD_FAULT_POINTS)))]
-        if draw < self.kill_rate:
-            return ShardFault("kill", point)
-        if draw < self.kill_rate + self.stall_rate:
-            return ShardFault("stall", point, stall_seconds=self.stall_seconds)
-        if draw < self.kill_rate + self.stall_rate + self.torn_rate:
-            return ShardFault("torn", "write")
-        return None
-
-    def describe(self) -> dict:
-        return {
-            "kill_rate": self.kill_rate,
-            "stall_rate": self.stall_rate,
-            "torn_rate": self.torn_rate,
-            "stall_seconds": self.stall_seconds,
-            "seed": self.seed,
         }

@@ -31,9 +31,9 @@ _POOLS_LOCK = threading.Lock()
 def drain_all_pools() -> int:
     """Drain every live :class:`WorkspacePool`; returns total bytes freed.
 
-    Registered as an ``atexit`` hook (alongside the shared-memory reaper
-    in :mod:`repro.parallel.shm`) so a Ctrl-C'd benchmark or soak leaves
-    no idle workspace pinned while interpreter teardown runs finalizers.
+    Registered as an ``atexit`` hook so a Ctrl-C'd benchmark or soak
+    leaves no idle workspace pinned while interpreter teardown runs
+    finalizers.
     """
     with _POOLS_LOCK:
         pools = list(_POOLS)

@@ -66,10 +66,9 @@ def apply_level_schedule(
 ) -> None:
     """Level-schedule update stage + scaling, in place on ``c``.
 
-    The single definition of the vectorised tree walk: ``KernelPlan``
-    calls it for in-process execution and the shard workers
-    (:mod:`repro.parallel.shard`) call it against shared-memory views, so
-    the multi-process path replays *exactly* the parent's update code.
+    The single definition of the vectorised tree walk, shared by both of
+    ``KernelPlan``'s update paths (the plain walk and the fused
+    per-level scaling recurrence).
 
     ``fused_tables`` (with ``roots``/``root_scale``) selects the fused
     per-level scaling recurrence; otherwise plain accumulation runs,

@@ -55,7 +55,6 @@ from repro.serving.batching import (
 from repro.serving.breaker import CircuitBreaker, ServeTier
 from repro.serving.deadline import Deadline
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import spmm, spmv
 from repro.utils.timing import interleaved_best
 from repro.utils.validation import all_finite, check_positive
 
@@ -196,6 +195,7 @@ class AdjacencySlot:
         self.tuned_width: int | None = None
         self.raced_s: dict[str, float] = {}
         self.csr: CSRAdjacency | None = None
+        self._csr32: CSRAdjacency | None = None  # built by float32_csr()
         # (store, index) pin held while this slot serves a store-backed
         # generation — released by retire() so retention pruning can
         # reclaim the directory only after the slot stops serving it.
@@ -243,23 +243,34 @@ class AdjacencySlot:
         faster, else ``cbm``."""
         return "cbm" if self.csr is None else "csr"
 
+    def float32_csr(self) -> CSRAdjacency:
+        """The float32 CSR copy of ``source``, built on first use.
+
+        The CSR route :meth:`tune` may pick and the DEGRADED tier both
+        multiply by it, so every tier serves float32.
+        """
+        if self._csr32 is None:
+            m = self.source
+            data = np.asarray(m.data, dtype=np.float32)
+            csr = CSRAdjacency(CSRMatrix(m.indptr, m.indices, data, m.shape, check=False))
+            csr.prepare()
+            self._csr32 = csr
+        return self._csr32
+
     def tune(self, width: int) -> str:
         """Race the CBM plan against float32 CSR at ``width`` columns.
 
         Both formats multiply the same random operand, interleaved round
         by round; the faster one becomes :attr:`route` and is returned.
-        The CSR candidate is a float32 copy of ``source``, so either
-        route serves float32.  Call before the slot takes traffic.
+        The CSR candidate is :meth:`float32_csr`, so either route serves
+        float32.  Call before the slot takes traffic.
         """
         check_positive(width, "width")
         width = int(width)
-        m = self.source
-        data = np.asarray(m.data, dtype=np.float32)
-        csr = CSRAdjacency(CSRMatrix(m.indptr, m.indices, data, m.shape, check=False))
-        csr.prepare()
+        csr = self.float32_csr()
         plan = self.cbm.plan()
         rng = np.random.default_rng(0)
-        b = rng.standard_normal((m.shape[1], width)).astype(np.float32)
+        b = rng.standard_normal((self.source.shape[1], width)).astype(np.float32)
         out = plan.out_buffer(width)
         try:
             raced = interleaved_best(
@@ -607,36 +618,11 @@ class InferenceService:
         slot = self._slot  # one atomic read: swaps do not tear a request
         req.future.generation = slot.generation
         x = req.x
-        if tier is ServeTier.DEGRADED:
-            if self.weights is not None:
-                from repro.gnn.gcn import two_layer_gcn_inference
-
-                y = two_layer_gcn_inference(
-                    CSRAdjacency(slot.source), x, *self.weights
-                )
-            elif req.vector:
-                y = spmv(slot.source, x.astype(np.float32, copy=False))
-            else:
-                y = spmm(slot.source, x.astype(np.float32, copy=False))
-            if self.validate and not all_finite(y):
-                if not all_finite(np.asarray(x, dtype=np.float32)):
-                    err = NumericalError(
-                        "request operand contains NaN/Inf; no serving tier "
-                        "can repair a corrupted input"
-                    )
-                    err.input_rejection = True
-                    slot.stats.record_input_rejection()
-                    raise err
-                raise NumericalError(
-                    "CSR reference product is non-finite; the stored matrix "
-                    "or the operand is corrupted beyond recovery"
-                )
-            return y
         guarded = tier is ServeTier.GUARDED
-        if not guarded and slot.route == "csr":
-            # Tuned FAST tier: the race chose float32 CSR.  GUARDED keeps
-            # the guarded-CBM kernel and DEGRADED the CSR reference, so
-            # the breaker ladder is the same whichever format won.
+        if tier is ServeTier.DEGRADED or (not guarded and slot.route == "csr"):
+            # DEGRADED always serves float32 CSR, and FAST does when the
+            # tuned race chose it.  GUARDED keeps the guarded-CBM kernel,
+            # so the breaker ladder is the same whichever format won.
             return self._compute_csr(slot, x)
         guard = GuardedKernel(
             slot.cbm,
@@ -661,19 +647,19 @@ class InferenceService:
         return guard.matmul(x.astype(np.float32, copy=False))
 
     def _compute_csr(self, slot: AdjacencySlot, x) -> np.ndarray:
-        """FAST-tier forward through the slot's float32 CSR operator.
+        """Forward through the slot's float32 CSR operator.
 
         A non-finite product raises :class:`NumericalError` like every
-        other tier, so the breaker records the failure and retries land
-        on GUARDED.
+        other tier, so the breaker records the failure.
         """
         x = np.asarray(x, dtype=np.float32)
+        csr = slot.float32_csr()
         if self.weights is not None:
             from repro.gnn.gcn import two_layer_gcn_inference
 
-            y = two_layer_gcn_inference(slot.csr, x, *self.weights)
+            y = two_layer_gcn_inference(csr, x, *self.weights)
         else:
-            y = slot.csr.matmul(x)
+            y = csr.matmul(x)
         if self.validate and not all_finite(y):
             if not all_finite(x):
                 err = NumericalError(
@@ -683,7 +669,10 @@ class InferenceService:
                 err.input_rejection = True
                 slot.stats.record_input_rejection()
                 raise err
-            raise NumericalError("CSR-routed product is non-finite")
+            raise NumericalError(
+                "CSR product is non-finite; the stored matrix or the "
+                "operand is corrupted beyond recovery"
+            )
         return y
 
     def _observe_latency(self, seconds: float) -> None:
@@ -792,12 +781,11 @@ class InferenceService:
             for req, (lo, hi) in zip(members, layout.spans()):
                 col = np.asarray(req.x, dtype=np.float32)
                 xs[:, lo:hi] = col[:, None] if req.vector else col
-            csr_fast = tier is ServeTier.FAST and slot.route == "csr"
-            if tier is ServeTier.DEGRADED:
-                def product(arr: np.ndarray) -> np.ndarray:
-                    return spmm(slot.source, arr)
-            elif csr_fast:
-                product = slot.csr.matmul
+            csr_tier = tier is ServeTier.DEGRADED or (
+                tier is ServeTier.FAST and slot.route == "csr"
+            )
+            if csr_tier:
+                product = slot.float32_csr().matmul
             else:
                 guarded = tier is ServeTier.GUARDED
                 guard = GuardedKernel(
@@ -830,7 +818,7 @@ class InferenceService:
                     ]
                 finally:
                     plan.release(ys)
-            if (tier is ServeTier.DEGRADED or csr_fast) and self.validate:
+            if csr_tier and self.validate:
                 # The guarded tiers validate inside GuardedKernel; the two
                 # CSR tiers validate here, mirroring _compute.
                 if not all(all_finite(y) for y in outs):

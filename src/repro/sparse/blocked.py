@@ -11,12 +11,6 @@ kernel (:func:`cbm_matmul_blocked`, which also blocks the update stage so
 each panel of the result is finished while still warm).  Results are
 bitwise-identical per panel to the unblocked kernels; the ablation
 benchmark measures whether blocking pays at this problem size.
-
-This module also owns the **degree-aware row partitioner**
-(:func:`partition_rows`) used by sharded multi-process execution: the
-same load-balance idea GPU sparse kernels apply by sorting rows by nnz
-before assigning them to concurrent streams, here applied to contiguous
-row blocks so each shard stays a valid CSR row-slice.
 """
 
 from __future__ import annotations
@@ -36,55 +30,6 @@ def panel_bounds(total: int, panel: int) -> list[tuple[int, int]]:
     """Column ranges [(lo, hi), ...] covering ``total`` in ``panel`` chunks."""
     check_positive(panel, "panel")
     return [(lo, min(lo + panel, total)) for lo in range(0, total, panel)]
-
-
-# Per-row base cost added to the nnz weight when partitioning.  Gives
-# isolated (zero-degree) rows nonzero weight so they spread across shards
-# instead of all piling into whichever shard the cost walk reaches last,
-# and models the fixed per-row overhead (indptr walk, output-row touch)
-# of the sparse kernels.
-ROW_BASE_COST = 1.0
-
-# Documented balance bound for :func:`partition_rows`: with contiguous
-# blocks over a greedy cumulative-cost walk, no shard exceeds the ideal
-# share by more than one row's cost.  The property tests assert exactly
-# max(shard_cost) <= total/num_shards + max(row_cost).
-BALANCE_SLACK_ROWS = 1
-
-
-def partition_rows(row_cost, num_shards: int) -> list[tuple[int, int]]:
-    """Contiguous, degree-aware row blocks ``[(lo, hi), ...]`` covering ``n`` rows.
-
-    ``row_cost`` is a per-row weight vector (typically ``a.row_nnz()``);
-    a :data:`ROW_BASE_COST` is added to every row so zero-degree rows
-    still carry weight.  The greedy cumulative walk closes a shard once
-    it reaches the ideal share ``total / num_shards``, so each shard's
-    cost is at most the ideal share plus one row — the
-    :data:`BALANCE_SLACK_ROWS` bound the schedule property tests pin.
-
-    Always returns exactly ``num_shards`` bounds.  Edge cases are valid,
-    never errors: ``n < num_shards`` yields empty ``(i, i)`` shards,
-    a single heavy row yields a single-row block, and ``n == 0`` yields
-    all-empty shards.
-
-    Implementation: cut the prefix-sum of costs at the ideal boundaries
-    ``s * total / num_shards``.  Each cut overshoots its boundary by at
-    most the cost of the row straddling it, so every shard's cost is
-    bounded by ``total/num_shards + max(row_cost)`` — unlike a greedy
-    walk with per-shard re-planning, the slack does not compound.
-    """
-    check_positive(num_shards, "num_shards")
-    cost = np.asarray(row_cost, dtype=np.float64).reshape(-1) + ROW_BASE_COST
-    n = cost.size
-    if n == 0:
-        return [(0, 0)] * num_shards
-    prefix = np.concatenate(([0.0], np.cumsum(cost)))
-    total = float(prefix[-1])
-    targets = total * np.arange(1, num_shards, dtype=np.float64) / num_shards
-    # hi for shard s = first row index whose prefix sum reaches target s.
-    cuts = np.searchsorted(prefix[1:], targets, side="left") + 1
-    edges = np.concatenate(([0], cuts, [n]))
-    return [(int(edges[s]), int(edges[s + 1])) for s in range(num_shards)]
 
 
 def spmm_blocked(

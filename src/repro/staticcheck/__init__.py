@@ -17,18 +17,15 @@ the artifact or the code alone, before any kernel runs:
   read-before-write hazards across a plan's branch decomposition, level
   schedule ordering, workspace-pool aliasing, and executor watchdog
   coverage.  It proves branch independence instead of assuming it.
-  PR8 adds the cross-process analogues: shard-plan audits (row
-  coverage/overlap across row blocks, shared-memory segment aliasing).
 * :mod:`repro.staticcheck.lint` — an AST-based contract linter over the
   source tree enforcing the codebase's concurrency/buffer conventions
   (declared in-place buffer mutation, lock-guarded ``GuardStats``
   counters, no swallowed broad excepts, no sleeps or unbounded waits
-  under a lock, no shared-memory segments created outside the registry
-  helper) with ruff-style output and a regression baseline that warns
+  under a lock, no raw shared-memory segments) with ruff-style output and a regression baseline that warns
   on stale entries.
 * :mod:`repro.staticcheck.ir` — the unified plan IR: every concurrent
-  schedule the repo produces (kernel plans, batch layouts, shard plans,
-  streaming swaps, prospective fused stages) lowers to one
+  schedule the repo produces (kernel plans, batch layouts, streaming
+  swaps, prospective fused stages) lowers to one
   stage/buffer/interval representation audited by a single engine.
 * :mod:`repro.staticcheck.hb` — happens-before race analysis over the
   IR: builds the HB graph from lane order, explicit edges, and
@@ -55,7 +52,6 @@ from repro.staticcheck.hazards import (
     analyze_plan,
     analyze_pool,
     analyze_schedule,
-    analyze_shard_plan,
 )
 from repro.staticcheck.hb import HBGraph, analyze_hb
 from repro.staticcheck.ir import (
@@ -68,7 +64,6 @@ from repro.staticcheck.ir import (
     analyze_ir,
     lower_batch_layout,
     lower_kernel_plan,
-    lower_shard_plan,
     lower_stream_swap,
 )
 from repro.staticcheck.lint import (
@@ -108,7 +103,6 @@ __all__ = [
     "analyze_plan",
     "analyze_pool",
     "analyze_schedule",
-    "analyze_shard_plan",
     "audit_archive",
     "audit_arrays",
     "audit_cbm",
@@ -120,7 +114,6 @@ __all__ = [
     "load_baseline",
     "lower_batch_layout",
     "lower_kernel_plan",
-    "lower_shard_plan",
     "lower_stream_swap",
     "scan_locks",
     "witness_service",

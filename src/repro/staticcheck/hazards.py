@@ -485,141 +485,6 @@ def _legacy_analyze_batch_layout(layout, *, subject: str = "batch-layout") -> Au
     return report
 
 
-def analyze_shard_plan(
-    plan=None,
-    *,
-    bounds=None,
-    n_rows: int | None = None,
-    layout=None,
-    subject: str = "shard-plan",
-) -> AuditReport:
-    """Prove a sharded row-block plan safe to execute across processes.
-
-    Pass a :class:`~repro.parallel.shard.ShardedPlan` (its bounds and
-    shared-memory layout are audited directly) or the raw pieces.
-    Lowers the plan through the unified IR (:mod:`repro.staticcheck.ir`)
-    — per-shard worker lanes with write-then-commit stage pairs, plus a
-    byte-addressed buffer per shared-memory segment — and runs the
-    single engine.  Detects — codes HZ-S1xx, because HZ-S001..S003 were
-    already claimed by the schedule-accounting checks above:
-
-    * **HZ-S101, coverage gap** — a row belonging to no shard: its output
-      slice would be served stale (or uninitialised) every execution;
-    * **HZ-S102, row overlap** — a row claimed by two shards or a bound
-      outside the matrix: two worker processes would write the same
-      output rows concurrently, the cross-process analogue of HZ-W001;
-    * **HZ-S103, shared-memory aliasing** — two packed operand arrays
-      (or an operand and the status/staging block) overlapping inside a
-      segment: one worker's input bytes would be another's scratch,
-      Property 3's no-extra-memory accounting silently broken;
-    * **HZ-R403, torn commit** — a worker's EPOCH/CRC board commit not
-      ordered after its slice write (commit-LAST protocol broken), via
-      the happens-before layer.
-    """
-    from repro.staticcheck.ir import analyze_ir, lower_shard_plan
-
-    return analyze_ir(
-        lower_shard_plan(
-            plan, bounds=bounds, n_rows=n_rows, layout=layout, subject=subject
-        )
-    )
-
-
-def _legacy_analyze_shard_plan(
-    plan=None,
-    *,
-    bounds=None,
-    n_rows: int | None = None,
-    layout=None,
-    subject: str = "shard-plan",
-) -> AuditReport:
-    """Pre-IR implementation, kept as the migration-equivalence oracle.
-
-    The property suite audits random bounds/layouts through both this
-    and the IR engine and requires identical verdicts on the shared
-    domain; new rules belong in the engine, not here.
-    """
-    if plan is not None:
-        bounds = plan.bounds
-        n_rows = plan.shape[0]
-        layout = plan.segment_layout()
-    report = AuditReport(subject=subject)
-    bounds = [(int(lo), int(hi)) for lo, hi in (bounds or [])]
-
-    bad = [
-        (lo, hi)
-        for lo, hi in bounds
-        if lo < 0 or hi < lo or (n_rows is not None and hi > n_rows)
-    ]
-    ordered = sorted(b for b in bounds if b not in bad)
-    overlaps = [
-        (ordered[i], ordered[i + 1])
-        for i in range(len(ordered) - 1)
-        if ordered[i + 1][0] < ordered[i][1]
-    ]
-    if bad or overlaps:
-        detail = []
-        if bad:
-            detail.append(f"invalid bounds {bad[:_MAX_LISTED]}")
-        if overlaps:
-            detail.append(f"overlapping blocks {overlaps[:_MAX_LISTED]}")
-        report.add(
-            "HZ-S102",
-            "shard overlap: " + "; ".join(detail) + " — two worker processes "
-            "would write the same output rows concurrently",
-        )
-        report.failed("shards.disjoint")
-    else:
-        report.passed("shards.disjoint")
-
-    if n_rows is not None:
-        covered = 0
-        cursor = 0
-        gaps: list[tuple[int, int]] = []
-        for lo, hi in ordered:
-            if lo > cursor:
-                gaps.append((cursor, lo))
-            covered += max(0, hi - max(lo, cursor))
-            cursor = max(cursor, hi)
-        if cursor < n_rows:
-            gaps.append((cursor, n_rows))
-        if gaps:
-            report.add(
-                "HZ-S101",
-                f"shard coverage gap: row ranges {gaps[:_MAX_LISTED]} belong "
-                "to no shard — their output slice would never be computed",
-            )
-            report.failed("shards.coverage")
-        else:
-            report.passed("shards.coverage")
-
-    if layout is not None:
-        by_segment: dict[str, list[dict]] = {}
-        for span in layout:
-            by_segment.setdefault(span["segment"], []).append(span)
-        aliased: list[str] = []
-        for segment, spans in by_segment.items():
-            spans = sorted(spans, key=lambda s: s["offset"])
-            for i in range(len(spans) - 1):
-                a, b = spans[i], spans[i + 1]
-                if b["offset"] < a["offset"] + a["nbytes"]:
-                    aliased.append(
-                        f"{segment}: shard{a['shard']}.{a['array']} ∩ "
-                        f"shard{b['shard']}.{b['array']}"
-                    )
-        if aliased:
-            report.add(
-                "HZ-S103",
-                f"shared-memory aliasing: {aliased[:_MAX_LISTED]} — one "
-                "worker's operand bytes overlap another array in the same "
-                "segment (Property 3 accounting broken)",
-            )
-            report.failed("shards.segments")
-        else:
-            report.passed("shards.segments")
-    return report
-
-
 def analyze_plan(
     plan,
     *,

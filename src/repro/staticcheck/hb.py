@@ -9,7 +9,7 @@ conflicting pair.  The HB edges are exactly the synchronisation the
 runtime really has:
 
 * **program order** — stages sharing a lane (one thread's replay loop, a
-  worker process's write-then-commit sequence) run in list order;
+  rebuilder's build-then-commit sequence) run in list order;
 * **explicit edges** — ``Stage.after`` encodes barriers (branch replay
   starts after the multiply), joins (finalise waits on every branch via
   executor dispatch/``future.result``), and commit visibility (a reader
@@ -19,17 +19,16 @@ Findings:
 
 ``HZ-R401``
     Conflicting **writes** unordered by HB — two lanes would scribble
-    the same rows/columns/bytes concurrently.  The cross-thread *and*
-    cross-process generalisation of the branch ``shares_memory`` check.
+    the same rows/columns/bytes concurrently.  The cross-thread
+    generalisation of the branch ``shares_memory`` check.
 ``HZ-R402``
     A **read** conflicting with a write, unordered by HB — one lane
     consumes bytes another lane is mid-write (torn read), e.g. a serving
     thread reading a generation no publish has ordered it after.
 ``HZ-R403``
     A ``role="commit"`` stage that is *not* happens-after a payload
-    stage it covers — the commit-marker-first torn write: the shard
-    board's EPOCH lands before the slice bytes, or a manifest renames
-    before its payloads are on disk, and a crash (or concurrent reader)
+    stage it covers — the commit-marker-first torn write: a manifest
+    renames before its payloads are on disk, and a crash (or concurrent reader)
     observes a committed-but-garbage artifact.
 
 Buffers marked ``atomic`` (single-reference slots swapped in one

@@ -1,30 +1,27 @@
 """Unified concurrency IR: every plan shape as stages over buffer spans.
 
-The runtime now produces four structurally different "plans" — a
+The runtime produces three structurally different "plans" — a
 :class:`~repro.runtime.plan.KernelPlan` level schedule replayed by
 threads, a :class:`~repro.serving.batching.BatchLayout` packing many
-requests' columns into one stacked operand, a
-:class:`~repro.parallel.shard.ShardedPlan` splitting rows across worker
-processes over shared-memory segments, and the streaming layer's
+requests' columns into one stacked operand, and the streaming layer's
 snapshot/rebuild/publish swap protocol.  Each used to carry its own
 ad-hoc audit in :mod:`repro.staticcheck.hazards`; this module lowers all
 of them into ONE representation so a single engine can prove them safe:
 
 * a :class:`Buffer` is a named address space (an output matrix in rows,
-  a stacked operand in columns, a shared-memory segment in bytes, a
-  published slot reference) with an optional :class:`SpanPolicy`
-  describing the span-ownership discipline its writers must obey;
+  a stacked operand in columns, a published slot reference) with an
+  optional :class:`SpanPolicy` describing the span-ownership discipline
+  its writers must obey;
 * a :class:`Stage` is one unit of work on an execution *lane* (a thread,
-  a worker process, the main thread between dispatches) with explicit
-  read/write accesses — half-open ``[lo, hi)`` spans into buffers — and
-  explicit happens-before edges (``after``) for barriers, joins, and
-  commit visibility;
+  the main thread between dispatches) with explicit read/write
+  accesses — half-open ``[lo, hi)`` spans into buffers — and explicit
+  happens-before edges (``after``) for barriers, joins, and commit
+  visibility;
 * a :class:`PlanIR` bundles the two, and :func:`analyze_ir` runs the
   engine: span-discipline audits per buffer (ownership overlap, bounds,
   coverage gaps, degenerate widths — the checks the legacy
-  ``analyze_shard_plan``/``analyze_batch_layout`` performed) plus the
-  happens-before race and commit-order analysis from
-  :mod:`repro.staticcheck.hb` (HZ-R4xx).
+  ``analyze_batch_layout`` performed) plus the happens-before race and
+  commit-order analysis from :mod:`repro.staticcheck.hb` (HZ-R4xx).
 
 :class:`FusedStage` is the forward-looking descriptor for ROADMAP item 5
 (the fusion pass): an epilogue fused into a branch's replay declares the
@@ -33,8 +30,7 @@ must be owned by that branch, otherwise the fused work conflicts with
 another lane and HZ-R401/R402 fire.  The fusion pass can therefore be
 built on plans this module has already verified.
 
-Everything here is symbolic: no kernel runs, no thread spawns, and
-lowering a ``ShardedPlan`` only reads its bounds and segment layout.
+Everything here is symbolic: no kernel runs and no thread spawns.
 """
 
 from __future__ import annotations
@@ -68,31 +64,17 @@ class SpanPolicy:
     """Span-ownership discipline for one buffer's writers.
 
     Each field names the ``(finding code, check name)`` emitted when the
-    corresponding rule is violated; ``None`` disables the rule.  The
-    flags reproduce the two historical dialects exactly:
-
-    * the *shard* dialect (``filter_invalid=True``, ``gap_mode="cursor"``)
-      drops invalid spans before ordering, folds invalid bounds into the
-      overlap code, and counts a trailing gap as uncovered rows;
-    * the *batch* dialect (``allow_trailing=True``, ``gap_mode="adjacent"``)
-      keeps every span, reports bounds separately, and treats trailing
-      columns as quantisation padding (zero-filled, so not a gap).
+    corresponding rule is violated; ``None`` disables the rule.  Spans
+    are ordered by ``(lo, hi)`` and compared with their sorted
+    neighbour; ``allow_trailing`` treats an unowned tail as padding
+    (the batch dialect zero-fills it), not as a gap.
     """
 
     overlap: tuple[str, str] | None = None   # two owners claim the same span
     bounds: tuple[str, str] | None = None    # lo < 0 or hi > size
-    invalid: tuple[str, str] | None = None   # lo < 0 or hi < lo or hi > size
     width: tuple[str, str] | None = None     # hi - lo <= 0
     gap: tuple[str, str] | None = None       # spans do not tile [0, size)
-    filter_invalid: bool = False
     allow_trailing: bool = False
-    gap_mode: str = "cursor"                 # "cursor" | "adjacent"
-    # Stable sort by lo only (declaration order breaks ties).  The shm
-    # segment dialect compares packed arrays in pack order, so a
-    # zero-byte array at the same offset as a sized one is judged by
-    # which was packed first — full (lo, hi) sorting would silently
-    # change those verdicts.
-    sort_stable_by_lo: bool = False
     noun: str = "span"
 
 
@@ -140,10 +122,9 @@ class Stage:
     happens-before edge); stages on different lanes are concurrent
     unless an ``after`` edge (barrier, join, commit visibility) orders
     them.  A ``role="commit"`` stage publishes the work of the stages in
-    ``covers`` (the shard worker's EPOCH/CRC board write, the store's
-    manifest rename): the engine proves every covered stage is
-    happens-before the commit, else the commit is a torn publish
-    (HZ-R403).
+    ``covers`` (the store's manifest rename): the engine proves every
+    covered stage is happens-before the commit, else the commit is a
+    torn publish (HZ-R403).
     """
 
     sid: str
@@ -239,7 +220,7 @@ def full_span(buf: Buffer) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Span-discipline audit (the legacy shard/batch byte-span checks)
+# Span-discipline audit (the legacy batch span checks)
 # ---------------------------------------------------------------------------
 
 def _audit_span_policy(
@@ -250,16 +231,13 @@ def _audit_span_policy(
     """Audit one buffer's write spans against its :class:`SpanPolicy`.
 
     ``owned`` is ``[(lo, hi, owner label), ...]``.  The rule order and
-    the exact sorted-adjacent / cursor-walk semantics mirror the legacy
-    analyzers verbatim so verdicts are bit-identical on their domain
-    (the migration property test holds both implementations to this).
+    the sorted-adjacent semantics mirror the legacy analyzer verbatim so
+    verdicts are bit-identical on its domain (the migration property
+    test holds both implementations to this).
     """
     pol = buf.policy
     assert pol is not None
-    if pol.sort_stable_by_lo:
-        spans = sorted(((lo, hi) for lo, hi, _ in owned), key=lambda s: s[0])
-    else:
-        spans = sorted((lo, hi) for lo, hi, _ in owned)
+    spans = sorted((lo, hi) for lo, hi, _ in owned)
     size = buf.size
 
     if pol.width is not None:
@@ -276,49 +254,19 @@ def _audit_span_policy(
         else:
             report.passed(check)
 
-    invalid: list[tuple[int, int]] = []
-    if pol.invalid is not None:
-        invalid = [
-            (lo, hi)
-            for lo, hi in spans
-            if lo < 0 or hi < lo or (size is not None and hi > size)
-        ]
-    ordered = (
-        [s for s in spans if s not in invalid] if pol.filter_invalid else list(spans)
-    )
-    overlaps = [
-        (ordered[i], ordered[i + 1])
-        for i in range(len(ordered) - 1)
-        if ordered[i + 1][0] < ordered[i][1]
-    ]
-
-    if pol.invalid is not None and (
-        pol.overlap is None or pol.invalid[0] != pol.overlap[0]
-    ):
-        code, check = pol.invalid
-        if invalid:
-            report.add(
-                code,
-                f"{buf.name}: invalid {pol.noun}(s) {_fmt_spans(invalid)}",
-            )
-            report.failed(check)
-        else:
-            report.passed(check)
-
     if pol.overlap is not None:
         code, check = pol.overlap
-        fold_invalid = pol.invalid is not None and pol.invalid[0] == code
-        detail = []
-        if fold_invalid and invalid:
-            detail.append(f"invalid {pol.noun}s {_fmt_spans(invalid)}")
+        overlaps = [
+            (spans[i], spans[i + 1])
+            for i in range(len(spans) - 1)
+            if spans[i + 1][0] < spans[i][1]
+        ]
         if overlaps:
             pairs = [f"{a}∩{b}" for a, b in overlaps[:_MAX_LISTED]]
-            detail.append(f"overlapping {pol.noun}s {', '.join(pairs)}")
-        if detail:
             report.add(
                 code,
-                f"{buf.name}: " + "; ".join(detail) + " — two owners would "
-                f"write the same {buf.unit} concurrently",
+                f"{buf.name}: overlapping {pol.noun}s {', '.join(pairs)} — "
+                f"two owners would write the same {buf.unit} concurrently",
             )
             report.failed(check)
         else:
@@ -339,25 +287,15 @@ def _audit_span_policy(
 
     if pol.gap is not None and size is not None:
         code, check = pol.gap
-        gaps: list[tuple[int, int]] = []
-        if pol.gap_mode == "adjacent":
-            gaps = [
-                (ordered[i][1], ordered[i + 1][0])
-                for i in range(len(ordered) - 1)
-                if ordered[i + 1][0] > ordered[i][1]
-            ]
-            if ordered and ordered[0][0] > 0:
-                gaps.insert(0, (0, ordered[0][0]))
-            if not pol.allow_trailing and ordered and ordered[-1][1] < size:
-                gaps.append((ordered[-1][1], size))
-        else:  # cursor walk (shard dialect): overlap-tolerant coverage
-            cursor = 0
-            for lo, hi in ordered:
-                if lo > cursor:
-                    gaps.append((cursor, lo))
-                cursor = max(cursor, hi)
-            if cursor < size:
-                gaps.append((cursor, size))
+        gaps = [
+            (spans[i][1], spans[i + 1][0])
+            for i in range(len(spans) - 1)
+            if spans[i + 1][0] > spans[i][1]
+        ]
+        if spans and spans[0][0] > 0:
+            gaps.insert(0, (0, spans[0][0]))
+        if not pol.allow_trailing and spans and spans[-1][1] < size:
+            gaps.append((spans[-1][1], size))
         if gaps:
             report.add(
                 code,
@@ -371,27 +309,8 @@ def _audit_span_policy(
 
 
 # ---------------------------------------------------------------------------
-# Policy presets (the two legacy dialects)
+# Policy preset (the batch dialect)
 # ---------------------------------------------------------------------------
-
-def shard_rows_policy() -> SpanPolicy:
-    return SpanPolicy(
-        overlap=("HZ-S102", "shards.disjoint"),
-        invalid=("HZ-S102", "shards.disjoint"),
-        gap=("HZ-S101", "shards.coverage"),
-        filter_invalid=True,
-        gap_mode="cursor",
-        noun="row block",
-    )
-
-
-def shard_segment_policy() -> SpanPolicy:
-    return SpanPolicy(
-        overlap=("HZ-S103", "shards.segments"),
-        sort_stable_by_lo=True,
-        noun="packed array",
-    )
-
 
 def batch_columns_policy() -> SpanPolicy:
     return SpanPolicy(
@@ -400,7 +319,6 @@ def batch_columns_policy() -> SpanPolicy:
         gap=("HZ-X003", "batch.contiguous"),
         width=("HZ-X004", "batch.widths"),
         allow_trailing=True,
-        gap_mode="adjacent",
         noun="member span",
     )
 
@@ -436,86 +354,6 @@ def lower_batch_layout(layout, *, subject: str = "batch-layout") -> PlanIR:
                 writes=(Access("stacked", spans_of((int(off), int(off) + int(width)))),),
                 label=f"member {i} columns [{off}, {off + width})",
             )
-        )
-    return ir
-
-
-def lower_shard_plan(
-    plan=None,
-    *,
-    bounds=None,
-    n_rows: int | None = None,
-    layout=None,
-    subject: str = "shard-plan",
-) -> PlanIR:
-    """Lower a :class:`ShardedPlan` (or its raw pieces) into the IR.
-
-    Per shard: a worker-process lane with a slice-write stage followed by
-    its CRC/EPOCH board commit (``role="commit"``, covering the write —
-    the commit-LAST protocol the supervisor's ``verify_shard`` relies
-    on).  The output rows carry the shard ownership policy; each
-    shared-memory segment becomes a byte-addressed buffer whose packed
-    arrays must not alias (Property 3's no-extra-memory accounting).
-    """
-    if plan is not None:
-        bounds = plan.bounds
-        n_rows = plan.shape[0]
-        layout = plan.segment_layout()
-    bounds = [(int(lo), int(hi)) for lo, hi in (bounds or [])]
-    ir = PlanIR(subject=subject)
-    ir.add_buffer(
-        Buffer("out", size=n_rows, unit="row", space="shm", policy=shard_rows_policy())
-    )
-    num = len(bounds)
-    ir.add_buffer(Buffer("status", size=max(num, 1), unit="row", space="shm"))
-    for i, (lo, hi) in enumerate(bounds):
-        write = Stage(
-            sid=f"shard{i}.write",
-            lane=f"proc{i}",
-            writes=(Access("out", spans_of((lo, hi))),),
-            label=f"shard {i} writes rows [{lo}, {hi})",
-        )
-        ir.add_stage(write)
-        ir.add_stage(
-            Stage(
-                sid=f"shard{i}.commit",
-                lane=f"proc{i}",
-                writes=(Access("status", spans_of((i, i + 1))),),
-                role="commit",
-                covers=(write.sid,),
-                label=f"shard {i} CRC/EPOCH board commit",
-            )
-        )
-    if layout is not None:
-        by_segment: dict[str, list[dict]] = {}
-        for span in layout:
-            by_segment.setdefault(span["segment"], []).append(span)
-        if not by_segment:
-            # an empty layout still asserts "no segment aliasing": keep
-            # the shards.segments verdict present, as the legacy
-            # analyzer did
-            ir.add_buffer(
-                Buffer("shm:(none)", size=None, unit="byte", space="shm",
-                       policy=shard_segment_policy())
-            )
-        accesses = []
-        for segment, entries in sorted(by_segment.items()):
-            bname = f"shm:{segment}"
-            ir.add_buffer(
-                Buffer(bname, size=None, unit="byte", space="shm",
-                       policy=shard_segment_policy())
-            )
-            for e in entries:
-                accesses.append(
-                    Access(
-                        bname,
-                        spans_of((int(e["offset"]), int(e["offset"]) + int(e["nbytes"]))),
-                        label=f"shard{e['shard']}.{e['array']}",
-                    )
-                )
-        ir.add_stage(
-            Stage(sid="pack", lane="main", writes=tuple(accesses),
-                  label="parent packs operands into segments")
         )
     return ir
 
@@ -626,8 +464,7 @@ def lower_stream_swap(*, subject: str = "stream-swap", payload_units: int = 4) -
 
     Models the invariants the streaming layer relies on: generation
     payloads are fully written before the manifest commit marks them
-    durable (commit-LAST, same shape as the shard board's EPOCH/CRC
-    protocol), the published slot is a single atomic reference, and
+    durable (commit-LAST), the published slot is a single atomic reference, and
     serving threads only read payload bytes *after* the publish made the
     commit visible to them.  Mutating any of these orderings produces
     HZ-R403 (torn commit) or HZ-R402 (read of an unpublished build).
@@ -692,7 +529,7 @@ def lower_stream_swap(*, subject: str = "stream-swap", payload_units: int = 4) -
 def analyze_ir(ir: PlanIR, *, races: bool = True) -> AuditReport:
     """Prove a lowered plan safe: span discipline + happens-before.
 
-    Runs the per-buffer :class:`SpanPolicy` audits (the legacy byte-span
+    Runs the per-buffer :class:`SpanPolicy` audits (the legacy span
     verdicts) and, with ``races=True``, the happens-before analysis from
     :mod:`repro.staticcheck.hb`: HZ-R401/R402 for conflicting accesses
     no HB path orders, HZ-R403 for commit stages that do not cover their

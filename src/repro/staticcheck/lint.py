@@ -48,13 +48,10 @@ The PR2/PR3 layers rely on conventions no general-purpose linter knows:
     (PR5's crash-safety contract).  Modules under ``repro/recovery``
     are exempt — they *implement* the protocol.
 ``SC601``
-    ``SharedMemory(...)`` constructed outside :mod:`repro.parallel.shm`.
-    Shared-memory segments outlive their creating process; an untracked
-    segment escapes the registry's drain/atexit/sweep hygiene and leaks
-    ``/dev/shm`` after a kill-9.  Every segment must come from
-    :func:`repro.parallel.shm.create_segment` (registered, reaped) or
-    :func:`~repro.parallel.shm.attach_ndarray` (worker-side attach);
-    the ``shm`` module itself is exempt — it *implements* the registry.
+    A raw ``SharedMemory(...)`` segment.  Shared-memory segments outlive
+    their creating process, so nothing reclaims one after a kill-9 and
+    it leaks ``/dev/shm``.  The package needs no cross-process memory:
+    share operands between threads in one process instead.
 
 Findings render ruff-style (``path:line: CODE message``).  A regression
 baseline (:func:`load_baseline`) makes CI fail only on *new* findings,
@@ -122,9 +119,6 @@ class _ContractVisitor(ast.NodeVisitor):
         # repro.recovery implements the atomic protocol; SC501 is for
         # everyone writing *around* it.
         self._recovery_module = "recovery" in Path(path).parts
-        # repro.parallel.shm implements the segment registry; SC601 is
-        # for everyone allocating *around* it.
-        self._shm_module = Path(path).name == "shm.py" and "parallel" in Path(path).parts
 
     # -- helpers -------------------------------------------------------
     def _emit(self, code: str, line: int, message: str, severity=Severity.ERROR) -> None:
@@ -299,21 +293,20 @@ class _ContractVisitor(ast.NodeVisitor):
                     "stalls unboundedly",
                 )
         self._check_persistent_write(node)
-        # -- SC601: shared-memory segment created outside the registry --
+        # -- SC601: raw shared-memory segment --
         is_shm_ctor = (
             isinstance(func, ast.Attribute)
             and func.attr == "SharedMemory"
             or isinstance(func, ast.Name)
             and func.id == "SharedMemory"
         )
-        if is_shm_ctor and not self._shm_module:
+        if is_shm_ctor:
             self._emit(
                 "SC601",
                 node.lineno,
-                "`SharedMemory(...)` outside repro.parallel.shm — an "
-                "untracked segment escapes the registry's drain/atexit/"
-                "sweep hygiene and leaks /dev/shm after a kill-9; use "
-                "shm.create_segment / shm.attach_ndarray",
+                "raw `SharedMemory(...)` — the segment outlives its "
+                "process and leaks /dev/shm after a kill-9; share operands "
+                "between threads in one process instead",
             )
         self.generic_visit(node)
 

@@ -1,10 +1,9 @@
 """Lock-order and blocking-call analysis over the source tree (SC7xx).
 
-The serving/streaming/parallel layers now hold ~16 locks across module
-boundaries (service state and swap locks, the batch collector's queue
-lock, the streaming mutation/rebuild locks, the shard supervisor's
-breaker, the workspace-pool and shm registries, the recovery store's pin
-lock).  No single function sees more than two of them, so deadlocks and
+The serving/streaming/parallel layers hold over a dozen locks across
+module boundaries (service state and swap locks, the batch collector's
+queue lock, the streaming mutation/rebuild locks, the breaker, the
+workspace-pool registry, the recovery store's pin lock).  No single function sees more than two of them, so deadlocks and
 lock-convoy bugs are *emergent* — visible only in the inter-module
 acquisition graph.  This pass builds that graph from the AST and proves
 three properties:
@@ -40,7 +39,7 @@ conservative so a finding is always actionable.
 
 **Call resolution.**  Held-lock sets flow through calls the AST can
 resolve: ``self.method()`` (same class), same-module functions,
-imported names (``from repro.parallel import shm; shm.create_segment``),
+imported names (``from repro.runtime import buffers; buffers.drain_all_pools``),
 and — for the acquisition graph only — methods whose name is defined by
 exactly one analysed class.  SC702 itself is function-local (lexical),
 so it never flags a bounded wait hidden behind a call; the graph edges

@@ -25,7 +25,6 @@ from repro.staticcheck import (
     lint_source,
     lower_batch_layout,
     lower_kernel_plan,
-    lower_shard_plan,
     lower_stream_swap,
 )
 from repro.staticcheck.ir import spans_of
@@ -70,47 +69,6 @@ def _codes_of(report) -> set[str]:
 # verifier reported.  Expected prefixes, not exact codes, so a defect
 # caught under a sibling rule (e.g. R401 vs R402 for an unsafe fusion)
 # still counts as detected — but a silent pass never does.
-
-
-def _mut_shard_overlap():
-    return _codes_of(
-        analyze_ir(lower_shard_plan(bounds=[(0, 6), (4, 10)], n_rows=10))
-    )
-
-
-def _mut_shard_gap():
-    return _codes_of(
-        analyze_ir(lower_shard_plan(bounds=[(0, 4), (6, 10)], n_rows=10))
-    )
-
-
-def _mut_shard_trailing_gap():
-    return _codes_of(
-        analyze_ir(lower_shard_plan(bounds=[(0, 4), (4, 8)], n_rows=10))
-    )
-
-
-def _mut_shard_invalid_bounds():
-    return _codes_of(
-        analyze_ir(lower_shard_plan(bounds=[(-3, 5), (5, 10)], n_rows=10))
-    )
-
-
-def _mut_segment_alias():
-    layout = [
-        {"segment": "seg0", "shard": 0, "array": "indptr", "offset": 0, "nbytes": 64},
-        {"segment": "seg0", "shard": 0, "array": "indices", "offset": 48, "nbytes": 32},
-    ]
-    return _codes_of(
-        analyze_ir(lower_shard_plan(bounds=[(0, 10)], n_rows=10, layout=layout))
-    )
-
-
-def _mut_shard_commit_first():
-    ir = lower_shard_plan(bounds=[(0, 10)], n_rows=10)
-    stages = {s.sid: s for s in ir.stages}
-    ir.stages = [stages["shard0.commit"], stages["shard0.write"]]
-    return _codes_of(analyze_ir(ir))
 
 
 def _mut_batch_overlap():
@@ -266,12 +224,6 @@ def _mut_event_wait_under_lock():
 
 
 CATALOG = [
-    ("shard-overlapping-bounds", "HZ-S102", _mut_shard_overlap),
-    ("shard-coverage-gap", "HZ-S101", _mut_shard_gap),
-    ("shard-trailing-gap", "HZ-S101", _mut_shard_trailing_gap),
-    ("shard-invalid-bounds", "HZ-S102", _mut_shard_invalid_bounds),
-    ("shm-segment-aliasing", "HZ-S103", _mut_segment_alias),
-    ("shard-commit-before-write", "HZ-R403", _mut_shard_commit_first),
     ("batch-member-overlap", "HZ-X001", _mut_batch_overlap),
     ("batch-out-of-bounds", "HZ-X002", _mut_batch_oob),
     ("batch-unowned-gap", "HZ-X003", _mut_batch_gap),
@@ -337,18 +289,6 @@ class TestCleanControls:
 
     def test_batch_layout_clean(self):
         rep = analyze_ir(_batch_ir())
-        assert rep.findings == [], rep.render()
-
-    def test_shard_plan_clean(self):
-        layout = [
-            {"segment": "seg0", "shard": 0, "array": "indptr",
-             "offset": 0, "nbytes": 64},
-            {"segment": "seg0", "shard": 0, "array": "indices",
-             "offset": 64, "nbytes": 32},
-        ]
-        rep = analyze_ir(
-            lower_shard_plan(bounds=[(0, 5), (5, 10)], n_rows=10, layout=layout)
-        )
         assert rep.findings == [], rep.render()
 
     def test_stream_swap_clean(self):

@@ -1,7 +1,7 @@
 """Unit tests for the unified concurrency IR and its engine.
 
 Covers the IR node types and span helpers, each lowering (kernel plan,
-batch layout, shard plan, streaming swap, fused stages), the
+batch layout, streaming swap, fused stages), the
 happens-before race analysis (HZ-R401/R402), and the commit-coverage
 protocol check (HZ-R403) — both on clean plans (every verdict must be
 clean) and on hand-mutated ones (every seeded defect must be found).
@@ -18,11 +18,11 @@ from repro.staticcheck import (
     Buffer,
     FusedStage,
     PlanIR,
+    SpanPolicy,
     Stage,
     analyze_ir,
     lower_batch_layout,
     lower_kernel_plan,
-    lower_shard_plan,
     lower_stream_swap,
 )
 from repro.staticcheck.hb import HBGraph
@@ -77,6 +77,18 @@ class TestPlanIR:
         )
         with pytest.raises(KeyError):
             analyze_ir(ir)
+
+    @pytest.mark.parametrize("allow_trailing", [False, True])
+    def test_trailing_gap_is_a_gap_unless_allowed(self, allow_trailing):
+        policy = SpanPolicy(gap=("T-GAP", "t.gap"), allow_trailing=allow_trailing)
+        ir = PlanIR(subject="s")
+        ir.add_buffer(Buffer("out", size=10, unit="row", policy=policy))
+        ir.add_stage(
+            Stage(sid="a", lane="main", writes=(Access("out", spans_of((0, 8))),))
+        )
+        rep = analyze_ir(ir)
+        assert rep.has("T-GAP") is not allow_trailing
+        assert rep.checks["t.gap"] is allow_trailing
 
 
 # ----------------------------------------------------------------------
@@ -283,61 +295,6 @@ class TestBatchLayoutLowering:
         ir.replace_stage("member0", writes=(Access("stacked", spans_of((0, 0))),))
         rep = analyze_ir(ir)
         assert rep.has("HZ-X004")
-
-
-# ----------------------------------------------------------------------
-# Shard-plan lowering (raw pieces; the real ShardedPlan path is covered
-# by the CLI test and the equivalence property test)
-
-
-def _segment(shard, array, offset, nbytes, segment="seg0"):
-    return {
-        "segment": segment,
-        "shard": shard,
-        "array": array,
-        "offset": offset,
-        "nbytes": nbytes,
-    }
-
-
-class TestShardPlanLowering:
-    def test_clean_bounds_and_segments(self):
-        ir = lower_shard_plan(
-            bounds=[(0, 5), (5, 10)],
-            n_rows=10,
-            layout=[_segment(0, "indptr", 0, 40), _segment(0, "indices", 40, 24)],
-        )
-        rep = analyze_ir(ir)
-        assert rep.ok, rep.render()
-
-    def test_overlapping_shards(self):
-        rep = analyze_ir(lower_shard_plan(bounds=[(0, 6), (4, 10)], n_rows=10))
-        assert rep.has("HZ-S102")
-
-    def test_coverage_gap_including_trailing(self):
-        rep = analyze_ir(lower_shard_plan(bounds=[(0, 4), (6, 9)], n_rows=10))
-        assert rep.has("HZ-S101")
-
-    def test_invalid_bounds_fold_into_disjoint_code(self):
-        rep = analyze_ir(lower_shard_plan(bounds=[(-2, 5), (5, 10)], n_rows=10))
-        assert rep.has("HZ-S102")
-        assert rep.checks["shards.disjoint"] is False
-
-    def test_segment_aliasing(self):
-        ir = lower_shard_plan(
-            bounds=[(0, 10)],
-            n_rows=10,
-            layout=[_segment(0, "indptr", 0, 40), _segment(0, "indices", 32, 24)],
-        )
-        rep = analyze_ir(ir)
-        assert rep.has("HZ-S103")
-
-    def test_commit_before_write_is_torn(self):
-        ir = lower_shard_plan(bounds=[(0, 10)], n_rows=10)
-        stages = {s.sid: s for s in ir.stages}
-        ir.stages = [stages["shard0.commit"], stages["shard0.write"]]
-        rep = analyze_ir(ir)
-        assert rep.has("HZ-R403")
 
 
 # ----------------------------------------------------------------------

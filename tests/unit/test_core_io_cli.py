@@ -104,3 +104,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "measured speedup" in out
         assert "model speedup" in out
+
+    @pytest.mark.parametrize("repeats", ["1", "2"])
+    def test_small_repeat_counts_run(self, repeats, capsys):
+        assert main(["bench", "Cora", "-a", "2", "-p", "4", "--repeats", repeats]) == 0
+        assert main(["plan", "Cora", "-p", "4", "-t", "2", "--repeats", repeats]) == 0
+        assert "planned execute" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "Cora", "-t", "0"],
+            ["plan", "Cora", "--repeats", "0"],
+            ["plan", "Cora", "-p", "-1"],
+            ["bench", "Cora", "--repeats", "-2"],
+            ["bench", "Cora", "-p", "0"],
+            ["bench", "Cora", "--repeats", "x"],
+        ],
+    )
+    def test_non_positive_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -40,6 +40,7 @@ from repro.reliability.chaos import (
 from repro.reliability.guard import GuardStats
 from repro.serving import (
     AdjacencySlot,
+    BatchConfig,
     BreakerState,
     CircuitBreaker,
     Deadline,
@@ -557,6 +558,60 @@ class TestInferenceService:
         for key in ("state", "ready", "queue_depth", "queue_capacity",
                     "breaker", "service", "guard", "generation", "live_workers"):
             assert key in h
+
+
+class _PinnedBreaker(CircuitBreaker):
+    """Serves every execution at one tier: no trips, no probes."""
+
+    def __init__(self, tier):
+        super().__init__()
+        self.tier = tier
+
+    def acquire(self, *, width=1):
+        return self.tier, False
+
+    def record(self, tier, ok, *, probe=False):
+        pass
+
+
+class TestOutputDtypeAcrossTiers:
+    """Every tier serves float32 for float32 weights and operands."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("gcn", [True, False], ids=["gcn", "product"])
+    @pytest.mark.parametrize("tier", list(ServeTier), ids=lambda t: t.name)
+    def test_float32_out_matches_csr_reference(self, tier, gcn, batched):
+        from repro.gnn.adjacency import CSRAdjacency
+        from repro.gnn.gcn import two_layer_gcn_inference
+
+        a = random_adjacency_csr(40, density=0.25, seed=4)
+        slot = AdjacencySlot.from_graph(a, normalized=True)
+        rng = np.random.default_rng(5)
+        xs = [rng.random((40, 8)).astype(np.float32) for _ in range(2)]
+        w0 = rng.random((8, 6)).astype(np.float32) - 0.5
+        w1 = rng.random((6, 3)).astype(np.float32) - 0.5
+        with InferenceService(
+            slot,
+            workers=1,
+            weights=(w0, w1) if gcn else None,
+            batch=BatchConfig(latency_budget_s=0.05) if batched else None,
+            breaker=_PinnedBreaker(tier),
+        ) as svc:
+            ys = [f.result(5.0) for f in [svc.submit(x) for x in xs]]
+        for x, y in zip(xs, ys):
+            if gcn:
+                expected = two_layer_gcn_inference(CSRAdjacency(slot.source), x, w0, w1)
+            else:
+                expected = spmm(slot.source, x)
+            assert y.dtype == np.float32
+            np.testing.assert_allclose(y, expected, rtol=1e-4, atol=1e-5)
+
+    def test_float32_copy_is_lazy_and_shared_with_the_race(self):
+        _, slot = _slot()
+        assert slot._csr32 is None
+        slot.tune(4)
+        assert slot.float32_csr() is slot._csr32
+        assert slot.float32_csr().a_hat.data.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
