@@ -51,13 +51,13 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_PR6.json"
 FULL = dict(
     dataset="COLLAB", alpha=2, concurrency=(4, 16, 64), requests_per_client=10,
     p=2, hidden=2, classes=2, deadline_s=2.0, workers=2, passes=3,
-    max_columns=64, latency_budget_s=0.002, speedup_target=3.0,
+    max_columns=64, speedup_target=3.0,
     target_level=64, seed=11,
 )
 SMOKE = dict(
     dataset="Cora", alpha=0, concurrency=(4, 16), requests_per_client=6,
     p=2, hidden=2, classes=2, deadline_s=2.0, workers=2, passes=2,
-    max_columns=64, latency_budget_s=0.002, speedup_target=None,
+    max_columns=64, speedup_target=None,
     target_level=16, seed=11,
 )
 
@@ -170,10 +170,7 @@ def run_workload(cfg: dict) -> dict:
                 default_deadline_s=cfg["deadline_s"],
                 weights=weights,
                 batch=(
-                    BatchConfig(
-                        max_columns=cfg["max_columns"],
-                        latency_budget_s=cfg["latency_budget_s"],
-                    )
+                    BatchConfig(max_columns=cfg["max_columns"])
                     if mode == "batched"
                     else None
                 ),
@@ -269,8 +266,7 @@ def render(record: dict) -> str:
     lines = [
         f"Micro-batched serving — {w['dataset']} GCN (n={w['nodes']}, "
         f"p={w['p']}->{w['hidden']}->{w['classes']}, "
-        f"batch<={w['max_columns']} cols, budget "
-        f"{w['latency_budget_s'] * 1e3:.1f}ms, calibration "
+        f"batch<={w['max_columns']} cols, calibration "
         f"{record['calibration_rps']:.1f} spmm/s)",
     ]
     for lv in record["levels"]:
@@ -313,7 +309,7 @@ def test_batched_round_trip(benchmark, rng):
     slot = AdjacencySlot.from_graph(a, alpha=2)
     x = rng.random((a.shape[0], 4), dtype=np.float64).astype(np.float32)
     with InferenceService(
-        slot, workers=2, batch=BatchConfig(latency_budget_s=0.001)
+        slot, workers=2, batch=BatchConfig()
     ) as svc:
         svc.submit(x).result(10.0)  # warm plan + pool outside the timer
         benchmark(lambda: svc.submit(x).result(10.0))

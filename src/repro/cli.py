@@ -287,12 +287,11 @@ def cmd_serve_bench(args) -> int:
             deadline_s=args.deadline,
             workers=args.workers,
             max_columns=args.max_columns,
-            latency_budget_s=args.budget_ms / 1e3,
             seed=args.seed,
         )
         print(f"batched serving soak — {name} (alpha={args.alpha}, "
               f"{args.clients} clients, max_width={args.columns}, "
-              f"batch<= {args.max_columns} cols, budget {args.budget_ms:.1f}ms)")
+              f"batch<= {args.max_columns} cols)")
         rows = []
         for ph in report["phases"]:
             rows.append([
@@ -520,7 +519,7 @@ def _witness_exercise(a, *, alpha: int, seed: int = 0):
     with InferenceService(
         slot,
         workers=2,
-        batch=BatchConfig(latency_budget_s=0.02),
+        batch=BatchConfig(),
         seed=seed,
     ) as svc:
         witness = witness_service(svc)
@@ -1060,8 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "poisoned-member attribution")
     p.add_argument("--max-columns", type=int, default=32,
                    help="batched mode: stacked-operand column cap per batch")
-    p.add_argument("--budget-ms", type=float, default=3.0,
-                   help="batched mode: batch collection latency budget (ms)")
     p.add_argument("--json", help="also write the full JSON report here")
     p.add_argument("--verbose", action="store_true",
                    help="let the guard's FallbackWarnings through to stderr")

@@ -80,8 +80,14 @@ def apply_level_schedule(
         for (lv, ps), (a, r) in zip(level_pairs, fused_tables, strict=True):
             c[lv] = a[expand] * c[lv] + r[expand] * c[ps]
         return
+    # ``take`` gathers rows with less overhead than ``c[idx]`` fancy
+    # indexing, which dominates at serving widths.  Each row still gets
+    # the one addition c[parent] + c[row], so the result is bitwise equal
+    # to ``c[lv] += c[ps]``.
     for lv, ps in level_pairs:
-        c[lv] += c[ps]
+        t = c.take(ps, axis=0)
+        t += c.take(lv, axis=0)
+        c[lv] = t
     if row_scale is not None:
         c *= row_scale[expand]
 

@@ -12,10 +12,13 @@ service's admission queue and its executor and does exactly that:
   — same adjacency **generation** and same **operator kind** (bare
   product vs GCN forward) — are coalesced into one stacked-feature
   operand ``[x₀ | x₁ | …]`` and served by a single stacked forward;
-* a batch stays open for at most :attr:`BatchConfig.latency_budget_s`
-  (default 3 ms) and closes **early** when the tightest member
-  :class:`~repro.serving.deadline.Deadline` would otherwise be violated
-  or :attr:`BatchConfig.max_columns` stacked columns are reached;
+* batching is **work-conserving**: the compute worker asks for a batch
+  only when it is free, blocks for the first request, then takes —
+  without waiting — every compatible request already queued, up to
+  :attr:`BatchConfig.max_columns` stacked columns.  Requests that
+  arrive during a forward queue up and become the next batch, so
+  batching happens whenever it can save work and a lone request never
+  waits for company;
 * the stacked result is split back per requester (column spans recorded
   in a :class:`BatchLayout`, auditable by
   :func:`repro.staticcheck.hazards.analyze_batch_layout`);
@@ -41,9 +44,8 @@ from __future__ import annotations
 
 import queue as _queue_mod
 import threading
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serving.deadline import Deadline
 from repro.utils.validation import check_positive
@@ -85,14 +87,9 @@ class BatchConfig:
         that the multiplication stage dominates again).  A single
         request wider than the cap still executes — solo.
     latency_budget_s:
-        How long an open batch may wait for co-travellers.  This is the
-        throughput/latency dial: the p99 of a lightly loaded service is
-        roughly its unbatched p99 plus this budget.
-    close_margin_s:
-        Safety reserve before the tightest member deadline: the batch
-        closes at ``tightest_expiry - close_margin_s`` even when the
-        latency budget has not elapsed, leaving that margin for the
-        stacked execution itself.
+        Accepted and validated, but has no effect: the collector never
+        waits for co-travellers (a batch closes as soon as the queue is
+        empty), so there is no budget to spend.
     quantum:
         Column quantum for workspace reuse (see :func:`quantize_columns`);
         ``1`` disables padding.
@@ -100,17 +97,12 @@ class BatchConfig:
 
     max_columns: int = 64
     latency_budget_s: float = 0.003
-    close_margin_s: float = 0.010
     quantum: int = 8
 
     def __post_init__(self) -> None:
         check_positive(self.max_columns, "max_columns")
         check_positive(self.latency_budget_s, "latency_budget_s")
         check_positive(self.quantum, "quantum")
-        if self.close_margin_s < 0:
-            raise ValueError(
-                f"close_margin_s must be >= 0, got {self.close_margin_s}"
-            )
 
 
 @dataclass(frozen=True)
@@ -161,14 +153,13 @@ class BatchLayout:
 class Batch:
     """One batch bound to one adjacency slot: members + column layout."""
 
-    __slots__ = ("slot", "generation", "kind", "members", "opened_at")
+    __slots__ = ("slot", "generation", "kind", "members")
 
-    def __init__(self, slot, kind: str, *, clock=time.monotonic):
+    def __init__(self, slot, kind: str):
         self.slot = slot
         self.generation = slot.generation
         self.kind = kind
         self.members: list = []
-        self.opened_at = clock()
 
     @property
     def width(self) -> int:
@@ -191,8 +182,6 @@ class CollectorStats:
     informational, bumped only by the collector's own lock holders)."""
 
     batches: int = 0
-    budget_closes: int = 0
-    deadline_closes: int = 0
     width_closes: int = 0
     swap_closes: int = 0
     requeued: int = 0
@@ -200,8 +189,6 @@ class CollectorStats:
     def snapshot(self) -> dict:
         return {
             "batches": self.batches,
-            "budget_closes": self.budget_closes,
-            "deadline_closes": self.deadline_closes,
             "width_closes": self.width_closes,
             "swap_closes": self.swap_closes,
             "requeued": self.requeued,
@@ -226,10 +213,9 @@ class BatchCollector:
     credited back and delivered on the worker's next call.
     """
 
-    def __init__(self, source_queue, config: BatchConfig, *, clock=time.monotonic):
+    def __init__(self, source_queue, config: BatchConfig):
         self.config = config
         self._queue = source_queue
-        self._clock = clock
         self._pending: deque = deque()
         self._lock = threading.Lock()
         self._swallowed_pills = 0
@@ -266,12 +252,18 @@ class BatchCollector:
         return None
 
     def next_batch(self, current_slot) -> Batch | None:
-        """Block until a batch is ready (or a shutdown pill arrives).
+        """Block for one request, then take what is already waiting.
+
+        The first member comes from the pending deque if it holds
+        anything, else from a blocking queue read.  Every further member
+        is taken without waiting — pending first, then the queue — until
+        the column cap is reached or nothing compatible is left, so the
+        caller (the free compute worker) runs at once.
 
         ``current_slot`` is a zero-argument callable returning the
         service's live :class:`AdjacencySlot`; it is read once to bind
-        the batch and re-read while collecting so a hot swap closes the
-        open batch instead of mixing generations inside it.
+        the batch and re-read before each further member so a hot swap
+        closes the open batch instead of mixing generations inside it.
         Returns ``None`` on shutdown.
         """
         with self._lock:
@@ -280,35 +272,23 @@ class BatchCollector:
                 return None
         seed = self._pop_pending(None, 0)
         if seed is None:
-            item = self._queue.get()
-            if item is None:
+            seed = self._queue.get()
+            if seed is None:
                 return None
-            seed = item
         cfg = self.config
-        batch = Batch(current_slot(), seed.kind, clock=self._clock)
+        batch = Batch(current_slot(), seed.kind)
         batch.members.append(seed)
-        hard_close = batch.opened_at + cfg.latency_budget_s
         while batch.width < cfg.max_columns:
             if current_slot().generation != batch.generation:
                 self.stats.swap_closes += 1
-                break
-            close_at = min(
-                hard_close, batch.tightest_expiry() - cfg.close_margin_s
-            )
-            wait = close_at - self._clock()
-            if wait <= 0:
-                if hard_close <= batch.tightest_expiry() - cfg.close_margin_s:
-                    self.stats.budget_closes += 1
-                else:
-                    self.stats.deadline_closes += 1
                 break
             room = cfg.max_columns - batch.width
             nxt = self._pop_pending(batch, room)
             if nxt is None:
                 try:
-                    nxt = self._queue.get(timeout=wait)
+                    nxt = self._queue.get_nowait()
                 except _queue_mod.Empty:
-                    continue
+                    break
                 if nxt is None:
                     # Shutdown pill meant for some worker: credit it back
                     # and close this batch now.

@@ -307,7 +307,8 @@ class InferenceService:
         The serving target (build via :meth:`AdjacencySlot.from_graph` /
         ``from_archive``).
     workers:
-        Worker threads draining the queue.
+        Worker threads draining the queue (unbatched mode; a batched
+        service runs one compute thread).
     queue_capacity:
         Bound on queued (not yet executing) requests; beyond it
         :meth:`submit` sheds load with :class:`~repro.errors.OverloadError`.
@@ -331,11 +332,12 @@ class InferenceService:
         Forwarded to the guarded kernels' threaded path (chaos soak hook).
     batch:
         A :class:`~repro.serving.batching.BatchConfig` switches the
-        workers to the micro-batching executor: queued requests
-        targeting the same adjacency generation and operator kind are
-        coalesced into one stacked-feature forward within the config's
-        latency budget, and the stacked result is split back per
-        requester (bitwise identical to the unbatched products — see
+        service to the micro-batching executor: one compute thread that,
+        each time it is free, takes every queued request targeting the
+        same adjacency generation and operator kind (up to the column
+        cap) and serves them with one stacked-feature forward, without
+        waiting for more to arrive.  The stacked result is split back
+        per requester (bitwise identical to the unbatched products — see
         :mod:`repro.serving.batching`).  ``None`` keeps the one-forward-
         per-request path.
     """
@@ -384,6 +386,13 @@ class InferenceService:
         self._collector = (
             BatchCollector(self._queue, batch) if batch is not None else None
         )
+        # With batching enabled the batch *is* the concurrency: the
+        # stacked kernels already aggregate every queued request, and a
+        # second compute thread only interleaves with the first at the
+        # interpreter level (measured ~5x per-kernel inflation on a
+        # contended GIL), so the batched service runs exactly one
+        # compute worker regardless of ``workers``.
+        self._compute_threads = workers if batch is None else 1
         self._state = ServiceState.STARTING
         self._state_lock = threading.Lock()
         self._swap_lock = threading.Lock()
@@ -403,22 +412,16 @@ class InferenceService:
             if self._started:
                 return self
             self._started = True
-            # With batching enabled the batch *is* the concurrency: the
-            # stacked kernels already aggregate every queued request, and
-            # a second compute thread only interleaves with the first at
-            # the interpreter level (measured ~5x per-kernel inflation on
-            # a contended GIL), so the batched service runs exactly one
-            # compute worker regardless of ``workers``.
-            if self._collector is None:
-                target, count = self._worker_loop, self.workers
-            else:
-                target, count = self._worker_loop_batched, 1
+            target = (
+                self._worker_loop if self._collector is None
+                else self._worker_loop_batched
+            )
             self._threads = [
                 threading.Thread(
                     target=target, args=(i,), daemon=True,
                     name=f"repro-serve-{i}",
                 )
-                for i in range(count)
+                for i in range(self._compute_threads)
             ]
             for t in self._threads:
                 t.start()
@@ -532,11 +535,12 @@ class InferenceService:
 
     def retry_after_estimate(self) -> float:
         """When a shed client should try again: queue depth × recent
-        per-request service time, spread over the workers."""
+        per-request service time, spread over the compute threads that
+        actually run (one when batched)."""
         with self._ewma_lock:
             per_request = self._ewma_s
         depth = self._queue.qsize()
-        return max(0.005, depth * max(per_request, 0.001) / self.workers)
+        return max(0.005, depth * max(per_request, 0.001) / self._compute_threads)
 
     # ------------------------------------------------------------------
     # Execution
@@ -1142,8 +1146,6 @@ class InferenceService:
             cfg = self.batch_config
             batching = {
                 "max_columns": cfg.max_columns,
-                "latency_budget_s": cfg.latency_budget_s,
-                "close_margin_s": cfg.close_margin_s,
                 "quantum": cfg.quantum,
                 "pending": self._collector.pending_count(),
                 "collector": self._collector.stats.snapshot(),

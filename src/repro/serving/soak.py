@@ -549,7 +549,6 @@ def run_batched_soak(
     workers: int = 2,
     queue_capacity: int = 64,
     max_columns: int = 32,
-    latency_budget_s: float = 0.003,
     nan_fraction: float = 0.15,
     swap_count: int = 8,
     swap_interval_s: float = 0.03,
@@ -596,9 +595,7 @@ def run_batched_soak(
         queue_capacity=queue_capacity,
         default_deadline_s=deadline_s,
         retry=RetryPolicy(max_attempts=3, base_s=0.002, cap_s=0.05),
-        batch=BatchConfig(
-            max_columns=max_columns, latency_budget_s=latency_budget_s
-        ),
+        batch=BatchConfig(max_columns=max_columns),
         seed=seed,
     )
     report: dict = {
@@ -613,7 +610,6 @@ def run_batched_soak(
             "workers": workers,
             "queue_capacity": queue_capacity,
             "max_columns": max_columns,
-            "latency_budget_s": latency_budget_s,
             "nan_fraction": nan_fraction,
             "swap_count": swap_count,
             "seed": seed,

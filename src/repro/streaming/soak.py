@@ -196,7 +196,6 @@ def run_mutation_soak(
     retain: int = 3,
     deadline_s: float = 5.0,
     max_columns: int = 32,
-    latency_budget_s: float = 0.002,
     min_requests: int = 200,
     root: str | None = None,
     progress=None,
@@ -251,7 +250,7 @@ def run_mutation_soak(
         workers=2,
         queue_capacity=max(128, clients * 16),
         default_deadline_s=deadline_s,
-        batch=BatchConfig(max_columns=max_columns, latency_budget_s=latency_budget_s),
+        batch=BatchConfig(max_columns=max_columns),
         seed=seed,
     )
     rebuilder = BackgroundRebuilder(

@@ -72,7 +72,7 @@ def test_batched_bitwise_equals_unbatched(operands):
     for mode in ("unbatched", "batched"):
         with InferenceService(
             _fresh_slot(),
-            batch=(BatchConfig(latency_budget_s=0.05) if mode == "batched" else None),
+            batch=(BatchConfig() if mode == "batched" else None),
             seed=1,
         ) as svc:
             futures = [svc.submit(x) for x in operands]
@@ -106,7 +106,7 @@ def test_gcn_batched_bitwise_equals_unbatched(operands):
         with InferenceService(
             _fresh_slot(),
             weights=weights,
-            batch=(BatchConfig(latency_budget_s=0.05) if mode == "batched" else None),
+            batch=(BatchConfig() if mode == "batched" else None),
             seed=1,
         ) as svc:
             futures = [svc.submit(x) for x in xs]
@@ -135,7 +135,7 @@ def test_guard_fallback_mid_batch_serves_reference(operands):
         warnings.simplefilter("ignore", FallbackWarning)
         with InferenceService(
             AdjacencySlot(cbm, _A),
-            batch=BatchConfig(latency_budget_s=0.05),
+            batch=BatchConfig(),
             breaker=breaker,
             seed=1,
         ) as svc:

@@ -47,7 +47,7 @@ def _serve(slot, operands, weights, batched):
     with InferenceService(
         slot,
         weights=weights,
-        batch=BatchConfig(latency_budget_s=0.05) if batched else None,
+        batch=BatchConfig() if batched else None,
         seed=1,
     ) as svc:
         futures = [svc.submit(x) for x in operands]

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core.builder import build_cbm
+from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import ShapeError
 from repro.parallel.cache import plan_working_set
 from repro.parallel.executor import ThreadedUpdateExecutor, parallel_matmul
 from repro.parallel.schedule import plan_update_schedule
 from repro.runtime import KernelPlan, WorkspacePool
+from repro.runtime.plan import apply_level_schedule
 from repro.sparse.ops import Engine
 
 from tests.conftest import random_adjacency_csr
@@ -83,6 +85,36 @@ class TestPlannedMatchesUnplanned:
         for _ in range(4):
             np.testing.assert_allclose(cbm.matmul(x), expected, rtol=1e-5, atol=1e-6)
         assert cbm.plan().stats.executions >= 4
+
+
+def _deep_tree(n=300, chain=12, seed=4):
+    """Random forest over ``n`` rows with a ``chain``-edge path from row 0,
+    so it has at least ``chain`` levels; elsewhere each row picks a random
+    earlier row as parent (or none), so parents repeat inside a level."""
+    rng = np.random.default_rng(seed)
+    parent = np.full(n, VIRTUAL, dtype=np.int64)
+    parent[1 : chain + 1] = np.arange(chain)
+    for x in range(chain + 1, n):
+        if rng.random() < 0.9:
+            parent[x] = rng.integers(0, x)
+    return CompressionTree(parent=parent)
+
+
+class TestLevelWalk:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cols", [None, 5], ids=["1d", "2d"])
+    def test_level_walk_bitwise_equals_edge_loop(self, dtype, cols):
+        tree = _deep_tree()
+        assert len(tree.levels()) >= 10
+        shape = (tree.n,) if cols is None else (tree.n, cols)
+        c0 = np.random.default_rng(0).standard_normal(shape).astype(dtype)
+        walked = c0.copy()
+        apply_level_schedule(walked, tree.level_pairs())
+        edge = c0.copy()
+        for x in tree.topological_order():
+            if tree.parent[x] != VIRTUAL:
+                edge[x] += edge[tree.parent[x]]
+        assert np.array_equal(walked, edge)
 
 
 class TestPlanCache:

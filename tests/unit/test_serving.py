@@ -594,7 +594,7 @@ class TestOutputDtypeAcrossTiers:
             slot,
             workers=1,
             weights=(w0, w1) if gcn else None,
-            batch=BatchConfig(latency_budget_s=0.05) if batched else None,
+            batch=BatchConfig() if batched else None,
             breaker=_PinnedBreaker(tier),
         ) as svc:
             ys = [f.result(5.0) for f in [svc.submit(x) for x in xs]]

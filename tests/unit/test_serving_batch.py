@@ -18,6 +18,7 @@ import importlib.util
 import json
 import pathlib
 import queue
+import threading
 import types
 from collections import deque
 
@@ -64,40 +65,37 @@ class FakeClock:
 
 
 class FakeRequest:
-    """Just the attributes the collector reads: kind, width, deadline."""
+    """Just the attributes the collector reads: kind and width."""
 
-    def __init__(self, width=1, kind=KIND_PRODUCT, budget_s=10.0, *, clock):
+    def __init__(self, width=1, kind=KIND_PRODUCT):
         self.kind = kind
         self.width = width
-        self.deadline = Deadline(budget_s, clock=clock)
-        self.attempts = 0
 
 
 class ScriptedQueue:
-    """Queue stand-in that advances the fake clock instead of blocking.
+    """Queue stand-in that serves a scripted item list.
 
-    A real ``queue.Queue`` would sleep wall-clock time on
-    ``get(timeout=...)`` while the collector's *fake* clock stands
-    still; this drains a scripted item list and, when empty, advances
-    the clock by the requested timeout and raises ``Empty`` — exactly
-    what the collector would observe after a real timed wait.
+    ``get_nowait`` raises ``Empty`` once the script is exhausted, as a
+    real empty queue would; a blocking ``get`` on an exhausted script
+    would hang a real worker forever, so it fails the test instead.
     """
 
-    def __init__(self, items, clock: FakeClock):
+    def __init__(self, items):
         self.items = deque(items)
-        self.clock = clock
 
-    def get(self, timeout=None):
+    def get(self):
         if self.items:
             return self.items.popleft()
-        if timeout is None:
-            raise AssertionError("collector blocked on an exhausted scripted queue")
-        self.clock.advance(timeout)
+        raise AssertionError("collector blocked on an exhausted scripted queue")
+
+    def get_nowait(self):
+        if self.items:
+            return self.items.popleft()
         raise queue.Empty
 
 
-def make_collector(items, cfg, clock):
-    return BatchCollector(ScriptedQueue(items, clock), cfg, clock=clock)
+def make_collector(items, cfg):
+    return BatchCollector(ScriptedQueue(items), cfg)
 
 
 SLOT_G0 = types.SimpleNamespace(generation=0)
@@ -138,60 +136,36 @@ class TestLayout:
             BatchConfig(max_columns=0)
         with pytest.raises((ValueError, TypeError)):
             BatchConfig(latency_budget_s=0)
-        with pytest.raises(ValueError):
-            BatchConfig(close_margin_s=-0.001)
         with pytest.raises((ValueError, TypeError)):
             BatchConfig(quantum=0)
 
 
 # ---------------------------------------------------------------------------
-# Batch formation (FakeClock-driven close paths)
+# Batch formation (scripted queue: the collector never waits)
 # ---------------------------------------------------------------------------
 class TestCollector:
-    def test_budget_close_coalesces_queued_requests(self):
-        clock = FakeClock()
-        cfg = BatchConfig(max_columns=64, latency_budget_s=0.003, close_margin_s=0.001)
-        reqs = [FakeRequest(width=2, clock=clock) for _ in range(3)]
-        collector = make_collector(reqs, cfg, clock)
+    def test_queued_requests_coalesce_without_waiting(self):
+        cfg = BatchConfig(max_columns=64)
+        reqs = [FakeRequest(width=2) for _ in range(3)]
+        collector = make_collector(reqs, cfg)
         batch = collector.next_batch(lambda: SLOT_G0)
         assert batch.members == reqs
         assert batch.width == 6
         assert batch.generation == 0
-        snap = collector.stats.snapshot()
-        assert snap["batches"] == 1
-        assert snap["budget_closes"] == 1
-        assert snap["deadline_closes"] == 0
-
-    def test_deadline_close_beats_budget(self):
-        clock = FakeClock()
-        cfg = BatchConfig(max_columns=64, latency_budget_s=0.100, close_margin_s=0.003)
-        # Tightest member expires at t=0.004; close margin 3 ms puts the
-        # close point at t=0.001, far before the 100 ms budget.
-        reqs = [
-            FakeRequest(width=1, budget_s=0.004, clock=clock),
-            FakeRequest(width=1, budget_s=10.0, clock=clock),
-        ]
-        collector = make_collector(reqs, cfg, clock)
-        batch = collector.next_batch(lambda: SLOT_G0)
-        assert len(batch.members) == 2
-        snap = collector.stats.snapshot()
-        assert snap["deadline_closes"] == 1
-        assert snap["budget_closes"] == 0
+        assert collector.stats.snapshot()["batches"] == 1
 
     def test_width_close_at_exact_cap(self):
-        clock = FakeClock()
-        cfg = BatchConfig(max_columns=4, latency_budget_s=0.003)
-        reqs = [FakeRequest(width=2, clock=clock), FakeRequest(width=2, clock=clock)]
-        collector = make_collector(reqs, cfg, clock)
+        cfg = BatchConfig(max_columns=4)
+        reqs = [FakeRequest(width=2), FakeRequest(width=2)]
+        collector = make_collector(reqs, cfg)
         batch = collector.next_batch(lambda: SLOT_G0)
         assert batch.width == 4
         assert collector.stats.snapshot()["width_closes"] == 1
 
     def test_width_overflow_goes_to_pending_and_seeds_next_batch(self):
-        clock = FakeClock()
-        cfg = BatchConfig(max_columns=4, latency_budget_s=0.003)
-        reqs = [FakeRequest(width=3, clock=clock), FakeRequest(width=3, clock=clock)]
-        collector = make_collector(reqs, cfg, clock)
+        cfg = BatchConfig(max_columns=4)
+        reqs = [FakeRequest(width=3), FakeRequest(width=3)]
+        collector = make_collector(reqs, cfg)
         first = collector.next_batch(lambda: SLOT_G0)
         assert first.members == [reqs[0]]
         assert collector.stats.snapshot()["width_closes"] == 1
@@ -201,11 +175,10 @@ class TestCollector:
         assert collector.pending_count() == 0
 
     def test_kind_mismatch_parks_request_without_closing(self):
-        clock = FakeClock()
-        cfg = BatchConfig(max_columns=64, latency_budget_s=0.003)
-        product = FakeRequest(width=2, kind=KIND_PRODUCT, clock=clock)
-        gcn = FakeRequest(width=2, kind=KIND_GCN, clock=clock)
-        collector = make_collector([product, gcn], cfg, clock)
+        cfg = BatchConfig(max_columns=64)
+        product = FakeRequest(width=2, kind=KIND_PRODUCT)
+        gcn = FakeRequest(width=2, kind=KIND_GCN)
+        collector = make_collector([product, gcn], cfg)
         first = collector.next_batch(lambda: SLOT_G0)
         assert first.kind == KIND_PRODUCT
         assert first.members == [product]
@@ -218,9 +191,8 @@ class TestCollector:
         assert second.members == [gcn]
 
     def test_swap_mid_collection_closes_batch(self):
-        clock = FakeClock()
-        cfg = BatchConfig(max_columns=64, latency_budget_s=0.010)
-        reqs = [FakeRequest(width=1, clock=clock) for _ in range(2)]
+        cfg = BatchConfig(max_columns=64)
+        reqs = [FakeRequest(width=1) for _ in range(2)]
         slot = types.SimpleNamespace(generation=0)
 
         calls = [0]
@@ -232,7 +204,7 @@ class TestCollector:
                 slot.generation = 1
             return slot
 
-        collector = make_collector(reqs, cfg, clock)
+        collector = make_collector(reqs, cfg)
         batch = collector.next_batch(current_slot)
         assert batch.generation == 0
         assert batch.members == [reqs[0]]
@@ -240,26 +212,23 @@ class TestCollector:
         # The second request is still in the scripted queue, untouched.
 
     def test_pill_swallowed_mid_collection_is_credited_back(self):
-        clock = FakeClock()
-        cfg = BatchConfig(max_columns=64, latency_budget_s=0.010)
-        req = FakeRequest(width=1, clock=clock)
-        collector = make_collector([req, None], cfg, clock)
+        cfg = BatchConfig(max_columns=64)
+        req = FakeRequest(width=1)
+        collector = make_collector([req, None], cfg)
         batch = collector.next_batch(lambda: SLOT_G0)
         assert batch.members == [req]
         # The swallowed shutdown pill is delivered on the next call.
         assert collector.next_batch(lambda: SLOT_G0) is None
 
     def test_pill_as_first_item_returns_none(self):
-        clock = FakeClock()
-        collector = make_collector([None], BatchConfig(), clock)
+        collector = make_collector([None], BatchConfig())
         assert collector.next_batch(lambda: SLOT_G0) is None
 
     def test_requeue_prefers_pending_over_fresh(self):
-        clock = FakeClock()
-        cfg = BatchConfig(max_columns=64, latency_budget_s=0.003)
-        fresh = FakeRequest(width=1, clock=clock)
-        retry = FakeRequest(width=1, clock=clock)
-        collector = make_collector([fresh], cfg, clock)
+        cfg = BatchConfig(max_columns=64)
+        fresh = FakeRequest(width=1)
+        retry = FakeRequest(width=1)
+        collector = make_collector([fresh], cfg)
         collector.requeue([retry])
         batch = collector.next_batch(lambda: SLOT_G0)
         # The requeued retry seeds the batch; the fresh arrival joins it.
@@ -268,9 +237,8 @@ class TestCollector:
         assert collector.stats.snapshot()["requeued"] == 1
 
     def test_drain_pending_empties_the_deque(self):
-        clock = FakeClock()
-        collector = make_collector([], BatchConfig(), clock)
-        reqs = [FakeRequest(clock=clock) for _ in range(3)]
+        collector = make_collector([], BatchConfig())
+        reqs = [FakeRequest() for _ in range(3)]
         collector.requeue(reqs)
         assert collector.pending_count() == 3
         assert collector.drain_pending() == reqs
@@ -300,7 +268,7 @@ class TestBatchedParity:
             with InferenceService(
                 slot,
                 batch=(
-                    BatchConfig(latency_budget_s=0.05) if mode == "batched" else None
+                    BatchConfig() if mode == "batched" else None
                 ),
                 seed=3,
             ) as svc:
@@ -334,7 +302,7 @@ class TestBatchedParity:
                 slot,
                 weights=weights,
                 batch=(
-                    BatchConfig(latency_budget_s=0.05) if mode == "batched" else None
+                    BatchConfig() if mode == "batched" else None
                 ),
                 seed=3,
             )
@@ -364,7 +332,7 @@ class TestBatchedParity:
     def test_expired_deadline_rejected_per_member(self):
         _, slot = _slot_pair()
         x = np.ones((slot.cbm.shape[1], 2), dtype=np.float32)
-        with InferenceService(slot, batch=BatchConfig(latency_budget_s=0.001)) as svc:
+        with InferenceService(slot, batch=BatchConfig()) as svc:
             svc.submit(x).result(30.0)  # warm: plan build off the hot path
             fut = svc.submit(x, deadline_s=1e-6)
             with pytest.raises(DeadlineExceeded):
@@ -385,6 +353,65 @@ class TestBatchedParity:
             assert svc.health()["live_workers"] == 2
             assert svc.health()["batching"] is None
 
+    def test_retry_after_counts_the_one_batched_compute_thread(self):
+        # Eight queued requests at 10 ms each drain in 80 ms on the one
+        # batched compute thread, whatever `workers` says; unbatched,
+        # four worker threads share the same queue.
+        _, slot = _slot_pair()
+        for batch, expected in ((BatchConfig(), 0.08), (None, 0.02)):
+            svc = InferenceService(slot, workers=4, queue_capacity=16, batch=batch)
+            svc._observe_latency(0.010)
+            for _ in range(8):
+                svc._queue.put_nowait(object())
+            assert svc.retry_after_estimate() == pytest.approx(expected)
+
+
+class _HeldService(InferenceService):
+    """Holds the first batch's forward until the test releases it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _compute_batch(self, batch, tier):
+        if not self.entered.is_set():
+            self.entered.set()
+            self.release.wait(30.0)
+        return super()._compute_batch(batch, tier)
+
+
+class TestWorkConserving:
+    def test_lone_request_never_waits_for_company(self):
+        # The budget would hold this batch open for 5 s if the collector
+        # waited for co-travellers; a free worker runs it at once.
+        _, slot = _slot_pair()
+        slot.prepare()
+        x = np.ones((slot.cbm.shape[1], 2), dtype=np.float32)
+        with InferenceService(slot, batch=BatchConfig(latency_budget_s=5.0)) as svc:
+            y = svc.submit(x).result(timeout=1.0)
+        np.testing.assert_allclose(y, spmm(slot.source, x), rtol=1e-4, atol=1e-4)
+
+    def test_requests_queued_during_a_forward_form_the_next_batch(self):
+        a, slot = _slot_pair()
+        rng = np.random.default_rng(8)
+        xs = [rng.standard_normal((a.shape[0], 2)).astype(np.float32) for _ in range(6)]
+        k = len(xs) - 1
+        svc = _HeldService(slot, batch=BatchConfig(), seed=2)
+        with svc:
+            try:
+                first = svc.submit(xs[0])
+                assert svc.entered.wait(10.0), "first batch never started"
+                rest = [svc.submit(x) for x in xs[1:]]
+            finally:
+                svc.release.set()
+            ys = [f.result(10.0) for f in (first, *rest)]
+        snap = svc.stats.snapshot()
+        assert snap["batches"] == 2
+        assert snap["coalesced"] == k
+        for x, y in zip(xs, ys):
+            np.testing.assert_allclose(y, spmm(a, x), rtol=1e-4, atol=1e-4)
+
 
 # ---------------------------------------------------------------------------
 # Failure isolation and attribution
@@ -398,7 +425,7 @@ class TestBatchFailureIsolation:
         ]
         poison = np.full((a.shape[0], 2), np.nan, dtype=np.float32)
         with InferenceService(
-            slot, batch=BatchConfig(latency_budget_s=0.2), seed=5
+            slot, batch=BatchConfig(), seed=5
         ) as svc:
             svc.submit(clean_x[0]).result(30.0)  # warm outside the poisoned batch
             futures = [svc.submit(x) for x in (clean_x[0], poison, *clean_x[1:])]
@@ -420,7 +447,7 @@ class TestBatchFailureIsolation:
         # clean co-traveller — the co-traveller re-enters the collector
         # with attempts untouched.
         _, slot = _slot_pair()
-        svc = InferenceService(slot, batch=BatchConfig(latency_budget_s=0.001))
+        svc = InferenceService(slot, batch=BatchConfig())
         from repro.serving.batching import Batch
         from repro.serving.service import _Request
 
@@ -435,7 +462,7 @@ class TestBatchFailureIsolation:
             Deadline(10.0, clock=clock),
             vector=False,
         )
-        batch = Batch(slot, KIND_PRODUCT, clock=clock)
+        batch = Batch(slot, KIND_PRODUCT)
         batch.members = [poisoned, clean]
         err = NumericalError("stacked operand contains NaN/Inf")
         err.input_rejection = True
@@ -454,7 +481,7 @@ class TestBatchFailureIsolation:
         _, slot = _slot_pair()
         svc = InferenceService(
             slot,
-            batch=BatchConfig(latency_budget_s=0.001),
+            batch=BatchConfig(),
             retry=RetryPolicy(max_attempts=3, base_s=0.0001, cap_s=0.001),
         )
         from repro.serving.batching import Batch
@@ -472,7 +499,7 @@ class TestBatchFailureIsolation:
             vector=False,
         )
         exhausted.attempts = 2  # this charge is its last allowed attempt
-        batch = Batch(slot, KIND_PRODUCT, clock=clock)
+        batch = Batch(slot, KIND_PRODUCT)
         batch.members = [fresh, exhausted]
         svc._retry_or_fail_batch(
             batch, ParallelError("worker died"), np.random.default_rng(0)
@@ -498,7 +525,7 @@ class TestBatchFailureIsolation:
         ]
         refs = {0: a0, 1: a1}
         with InferenceService(
-            slot0, batch=BatchConfig(latency_budget_s=0.01), seed=7
+            slot0, batch=BatchConfig(), seed=7
         ) as svc:
             futures = [svc.submit(x) for x in xs[:4]]
             svc.swap_slot(AdjacencySlot.from_graph(a1, alpha=2))
