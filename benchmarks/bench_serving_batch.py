@@ -1,11 +1,13 @@
-"""Micro-batched serving benchmark — batched vs unbatched throughput.
+"""Micro-batched serving benchmark — coalesced vs one-request batches.
 
 Drives two :class:`~repro.serving.InferenceService` instances over the
-same adjacency and GCN weights — one with the micro-batching stage
-(:class:`~repro.serving.BatchConfig`), one without — with closed-loop
-concurrent clients at several concurrency levels, and records
-requests/sec, p50/p99 latency, and batch-formation counters in
-``BENCH_PR6.json``:
+same adjacency and GCN weights on the same one-thread executor: the
+"batched" one coalesces up to ``max_columns`` stacked columns per
+forward, the "unbatched" comparator caps a batch at one request's width
+(``BatchConfig(max_columns=p)``), so every request runs alone.
+Closed-loop concurrent clients run at several concurrency levels; the
+record (``BENCH_PR6.json``) holds requests/sec, p50/p99 latency, and
+batch-formation counters:
 
 * the full workload is the paper's two-layer GCN forward on COLLAB; the
   acceptance bar is **>= 3x requests/sec** for the batched service at 64
@@ -50,13 +52,13 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_PR6.json"
 # modes, which matters on single-core CI runners with scheduler jitter.
 FULL = dict(
     dataset="COLLAB", alpha=2, concurrency=(4, 16, 64), requests_per_client=10,
-    p=2, hidden=2, classes=2, deadline_s=2.0, workers=2, passes=3,
+    p=2, hidden=2, classes=2, deadline_s=2.0, passes=3,
     max_columns=64, speedup_target=3.0,
     target_level=64, seed=11,
 )
 SMOKE = dict(
     dataset="Cora", alpha=0, concurrency=(4, 16), requests_per_client=6,
-    p=2, hidden=2, classes=2, deadline_s=2.0, workers=2, passes=2,
+    p=2, hidden=2, classes=2, deadline_s=2.0, passes=2,
     max_columns=64, speedup_target=None,
     target_level=16, seed=11,
 )
@@ -163,17 +165,15 @@ def run_workload(cfg: dict) -> dict:
             slot = AdjacencySlot(
                 slot_template.cbm, slot_template.source
             )
+            # "unbatched": a batch holds one request's columns, so each
+            # request runs alone on the same executor.
+            max_columns = cfg["max_columns"] if mode == "batched" else p
             service = InferenceService(
                 slot,
-                workers=cfg["workers"],
                 queue_capacity=capacity,
                 default_deadline_s=cfg["deadline_s"],
                 weights=weights,
-                batch=(
-                    BatchConfig(max_columns=cfg["max_columns"])
-                    if mode == "batched"
-                    else None
-                ),
+                batch=BatchConfig(max_columns=max_columns),
                 seed=cfg["seed"],
             )
             with service:
@@ -308,9 +308,7 @@ def test_batched_round_trip(benchmark, rng):
     a = load_dataset("Cora")
     slot = AdjacencySlot.from_graph(a, alpha=2)
     x = rng.random((a.shape[0], 4), dtype=np.float64).astype(np.float32)
-    with InferenceService(
-        slot, workers=2, batch=BatchConfig()
-    ) as svc:
+    with InferenceService(slot) as svc:
         svc.submit(x).result(10.0)  # warm plan + pool outside the timer
         benchmark(lambda: svc.submit(x).result(10.0))
 

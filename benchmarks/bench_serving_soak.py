@@ -39,12 +39,12 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_PR3.json"
 
 FULL = dict(
     dataset="PubMed", alpha=2, clients=6, requests_per_client=25, p=32,
-    deadline_s=3.0, threads=2, workers=3, fail_rate=0.45, stall_rate=0.15,
+    deadline_s=3.0, threads=2, fail_rate=0.45, stall_rate=0.15,
     seed=7,
 )
 SMOKE = dict(
     dataset="Cora", alpha=0, clients=4, requests_per_client=10, p=16,
-    deadline_s=2.0, threads=2, workers=2, fail_rate=0.45, stall_rate=0.15,
+    deadline_s=2.0, threads=2, fail_rate=0.45, stall_rate=0.15,
     seed=7,
 )
 
@@ -127,7 +127,7 @@ def test_serving_happy_path(benchmark, rng):
     a = load_dataset("Cora")
     slot = AdjacencySlot.from_graph(a, alpha=2)
     x = rng.random((a.shape[0], 16), dtype=np.float64).astype(np.float32)
-    with InferenceService(slot, workers=2) as svc:
+    with InferenceService(slot) as svc:
         svc.submit(x).result(10.0)  # warm plan + pool outside the timer
         benchmark(lambda: svc.submit(x).result(10.0))
 

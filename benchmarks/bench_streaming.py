@@ -63,13 +63,13 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_PR7.json"
 # churn.
 FULL = dict(
     dataset="PubMed", alpha=2, concurrency=(4, 16), requests_per_client=100,
-    p=2, deadline_s=2.0, workers=2, passes=3, max_columns=64,
+    p=2, deadline_s=2.0, passes=3, max_columns=64,
     mutation_edges=4, mutation_period_s=0.025,
     staleness_budget=32, max_drift=0.10, p99_factor=2.0, p99_level=4, seed=11,
 )
 SMOKE = dict(
     dataset="Cora", alpha=0, concurrency=(4, 16), requests_per_client=25,
-    p=2, deadline_s=2.0, workers=2, passes=3, max_columns=64,
+    p=2, deadline_s=2.0, passes=3, max_columns=64,
     mutation_edges=4, mutation_period_s=0.002,
     staleness_budget=6, max_drift=0.10, p99_factor=None, p99_level=4, seed=11,
 )
@@ -173,7 +173,6 @@ def run_workload(cfg: dict, *, root: str | None = None) -> dict:
         )
         service = InferenceService(
             slot,
-            workers=cfg["workers"],
             queue_capacity=max(128, 2 * clients),
             default_deadline_s=cfg["deadline_s"],
             batch=BatchConfig(max_columns=cfg["max_columns"]),

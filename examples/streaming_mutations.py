@@ -55,7 +55,7 @@ def main() -> None:
     rng = np.random.default_rng(7)
     x = rng.random((a.shape[0], 4), dtype=np.float64).astype(np.float32)
 
-    with InferenceService(slot, workers=1) as service:
+    with InferenceService(slot) as service:
         print(f"\napplying {args.batches} batches of ±{args.edges} edges:")
         for j in range(args.batches):
             _, _, src = mutable.snapshot()

@@ -285,7 +285,6 @@ def cmd_serve_bench(args) -> int:
             requests_per_client=args.requests,
             max_width=args.columns,
             deadline_s=args.deadline,
-            workers=args.workers,
             max_columns=args.max_columns,
             seed=args.seed,
         )
@@ -332,7 +331,6 @@ def cmd_serve_bench(args) -> int:
             p=args.columns,
             deadline_s=args.deadline,
             threads=args.threads,
-            workers=args.workers,
             fail_rate=args.fail_rate,
             stall_rate=args.stall_rate,
             seed=args.seed,
@@ -511,17 +509,12 @@ def _witness_exercise(a, *, alpha: int, seed: int = 0):
     slot swap, stats snapshots, and shutdown.  Returns the populated
     :class:`LockWitness`.
     """
-    from repro.serving import AdjacencySlot, BatchConfig, InferenceService
+    from repro.serving import AdjacencySlot, InferenceService
     from repro.staticcheck import witness_service
 
     rng = np.random.default_rng(seed)
     slot = AdjacencySlot.from_graph(a, alpha=alpha)
-    with InferenceService(
-        slot,
-        workers=2,
-        batch=BatchConfig(),
-        seed=seed,
-    ) as svc:
+    with InferenceService(slot, seed=seed) as svc:
         witness = witness_service(svc)
         n = a.shape[0]
         futures = [
@@ -1047,18 +1040,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=int, default=15, help="requests per client per phase")
     p.add_argument("--deadline", type=float, default=2.0, help="per-request budget (s)")
     p.add_argument("--threads", type=int, default=2, help="update-stage worker threads")
-    p.add_argument("--workers", type=int, default=2, help="service worker threads")
     p.add_argument("--fail-rate", type=float, default=0.45,
                    help="chaos-phase worker-death probability per executor")
     p.add_argument("--stall-rate", type=float, default=0.15,
                    help="chaos-phase worker-stall probability per executor")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batched", action="store_true",
-                   help="soak the micro-batching stage instead: mixed-width "
-                   "coalescing, hot-swap storm (generation purity), and "
-                   "poisoned-member attribution")
+                   help="run the mixed-widths / swap-storm / poison scenario "
+                   "instead: coalescing under load, generation purity across "
+                   "hot swaps, and poisoned-member attribution")
     p.add_argument("--max-columns", type=int, default=32,
-                   help="batched mode: stacked-operand column cap per batch")
+                   help="--batched scenario: stacked-operand column cap per batch")
     p.add_argument("--json", help="also write the full JSON report here")
     p.add_argument("--verbose", action="store_true",
                    help="let the guard's FallbackWarnings through to stderr")

@@ -25,14 +25,17 @@ service's admission queue and its executor and does exactly that:
 * 1-D vector requests ride along as width-1 columns and are squeezed
   back to 1-D on split.
 
+Every request the service admits takes this path; a lone request is a
+batch of one.
+
 Correctness contract: both the CSR kernels and the CBM multiply/update
 stages are column-wise independent, so every member's slice of the
-stacked product is **bitwise identical** to the product the member
-would have received unbatched (the property suite asserts exactly
-this).  Failure isolation is per-batch with per-request attribution:
-a guard fallback or breaker transition applies to the whole batch
-execution, while deadline expiry and input rejection are decided per
-request, and retries re-enter the collector instead of bypassing it.
+stacked product is **bitwise identical** to the direct kernel product
+of its own operand (the property suite asserts exactly this).
+Failure isolation is per-batch with per-request attribution: a guard
+fallback or breaker transition applies to the whole batch execution,
+while deadline expiry and input rejection are decided per request, and
+retries re-enter the collector instead of bypassing it.
 
 Generation purity: a batch binds its slot once, at open; members
 collected later execute against that same slot, and a hot swap observed

@@ -2,17 +2,16 @@
 
 The paper's CBM kernel is fast but has more failure modes than the CSR
 baseline (in-place update stage, compression-tree trust, branch-parallel
-workers).  The breaker watches per-adjacency failure signals — strict
-fast-path errors and the guarded kernel's internal fallbacks, both fed
-from :class:`~repro.reliability.guard.GuardStats` accounting — and moves
-the adjacency down a ladder of serving tiers when the failure rate in a
-rolling window crosses the threshold:
+workers).  The breaker hears one outcome per execution — a failure when
+a strict fast path raised or a guarded execution had to fall back, else
+a success — and moves the adjacency down a ladder of serving tiers when
+the failure rate in a rolling window crosses the threshold:
 
 * :attr:`ServeTier.FAST` — strict guarded CBM: validated planned
   products, fail-fast (failures surface to the breaker, not the client);
 * :attr:`ServeTier.GUARDED` — fallback-protected CBM: the guard repairs
   failures with the reference chain, so clients still get answers while
-  the breaker keeps counting the internal degradations;
+  every repaired execution still counts as a failure;
 * :attr:`ServeTier.DEGRADED` — the CSR reference product only: slower,
   but structurally independent of every CBM failure mode.
 
@@ -78,7 +77,7 @@ class CircuitBreaker:
         ``max_columns`` coalesced requests to the faster (suspect) tier
         at once; with a cap, wide batches keep serving at the safe tier
         and only narrow batches probe.  ``None`` (default) disables the
-        cap — the pre-batching behaviour.
+        cap.
     """
 
     def __init__(
@@ -168,7 +167,7 @@ class CircuitBreaker:
         In HALF_OPEN state up to ``probe_budget`` in-flight executions
         are routed one tier faster than the current one (the probe);
         everyone else serves at the safe tier.  ``width`` is the stacked
-        operand width of the execution (1 for a plain request): when
+        operand width of the execution (1 for a lone vector): when
         ``probe_width`` is configured, executions wider than it never
         probe — a coalesced batch is many requests, and the blast radius
         of a failed probe should stay one request wide.
@@ -194,7 +193,9 @@ class CircuitBreaker:
             return self.tier, False
 
     def record(self, tier: ServeTier, ok: bool, *, probe: bool = False) -> None:
-        """Feed one request outcome back (``probe`` as returned by acquire)."""
+        """Feed one execution's outcome back (``probe`` as returned by
+        acquire).  A guarded execution whose guard fell back is a failure,
+        so a probe that needed the fallback fails the probe round."""
         with self._lock:
             if probe:
                 if self.state is not BreakerState.HALF_OPEN:
@@ -224,13 +225,6 @@ class CircuitBreaker:
                 and failures / len(self._outcomes) >= self.failure_rate
             ):
                 self._trip()
-
-    def note_internal_failure(self) -> None:
-        """A guarded-tier kernel degraded internally (client still got a
-        correct answer via the fallback chain) — counts as a failure
-        signal so persistent fast-path rot trips the breaker even when
-        nothing surfaces to callers."""
-        self.record(self.tier, False)
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

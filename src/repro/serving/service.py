@@ -42,7 +42,7 @@ from repro.errors import (
     ShapeError,
 )
 from repro.gnn.adjacency import CSRAdjacency
-from repro.reliability.guard import GuardedAdjacency, GuardedKernel, GuardStats
+from repro.reliability.guard import GuardedKernel, GuardStats
 from repro.serving.backoff import RetryPolicy, is_transient
 from repro.serving.batching import (
     KIND_GCN,
@@ -50,7 +50,6 @@ from repro.serving.batching import (
     Batch,
     BatchCollector,
     BatchConfig,
-    BatchLayout,
 )
 from repro.serving.breaker import CircuitBreaker, ServeTier
 from repro.serving.deadline import Deadline
@@ -301,14 +300,20 @@ class InferenceService:
     """Bounded-queue inference service with deadlines, retries, and a
     circuit breaker (see the module docstring for the client contract).
 
+    Every request is served by the micro-batching executor: one compute
+    thread that, each time it is free, takes every queued request
+    targeting the same adjacency generation and operator kind (up to the
+    column cap) and serves them with one stacked-feature forward, without
+    waiting for more to arrive.  A lone request is a batch of one.  The
+    stacked result is split back per requester, bitwise identical to the
+    direct kernel product of each member's operand (see
+    :mod:`repro.serving.batching`).
+
     Parameters
     ----------
     slot:
         The serving target (build via :meth:`AdjacencySlot.from_graph` /
         ``from_archive``).
-    workers:
-        Worker threads draining the queue (unbatched mode; a batched
-        service runs one compute thread).
     queue_capacity:
         Bound on queued (not yet executing) requests; beyond it
         :meth:`submit` sheds load with :class:`~repro.errors.OverloadError`.
@@ -327,26 +332,19 @@ class InferenceService:
         Optional ``(w0, w1)`` pair: requests then resolve to the paper's
         two-layer GCN forward ``Â σ(Â X W⁰) W¹`` instead of the bare
         product, with every ``Â`` product still routed through the
-        request's serving tier.
+        batch's serving tier.
     executor_factory:
         Forwarded to the guarded kernels' threaded path (chaos soak hook).
     batch:
-        A :class:`~repro.serving.batching.BatchConfig` switches the
-        service to the micro-batching executor: one compute thread that,
-        each time it is free, takes every queued request targeting the
-        same adjacency generation and operator kind (up to the column
-        cap) and serves them with one stacked-feature forward, without
-        waiting for more to arrive.  The stacked result is split back
-        per requester (bitwise identical to the unbatched products — see
-        :mod:`repro.serving.batching`).  ``None`` keeps the one-forward-
-        per-request path.
+        The :class:`~repro.serving.batching.BatchConfig` (column cap and
+        width quantum) of the micro-batching executor; ``None`` uses
+        ``BatchConfig()``.
     """
 
     def __init__(
         self,
         slot: AdjacencySlot,
         *,
-        workers: int = 2,
         queue_capacity: int = 32,
         default_deadline_s: float = 5.0,
         threads: int | None = None,
@@ -359,11 +357,9 @@ class InferenceService:
         validate: bool = True,
         seed: int = 0,
     ):
-        check_positive(workers, "workers")
         check_positive(queue_capacity, "queue_capacity")
         check_positive(default_deadline_s, "default_deadline_s")
         self._slot = slot
-        self.workers = workers
         self.queue_capacity = queue_capacity
         self.default_deadline_s = default_deadline_s
         self.threads = threads
@@ -382,21 +378,12 @@ class InferenceService:
         self.stats = ServiceStats()
 
         self._queue: "queue.Queue[_Request | None]" = queue.Queue(maxsize=queue_capacity)
-        self.batch_config = batch
-        self._collector = (
-            BatchCollector(self._queue, batch) if batch is not None else None
-        )
-        # With batching enabled the batch *is* the concurrency: the
-        # stacked kernels already aggregate every queued request, and a
-        # second compute thread only interleaves with the first at the
-        # interpreter level (measured ~5x per-kernel inflation on a
-        # contended GIL), so the batched service runs exactly one
-        # compute worker regardless of ``workers``.
-        self._compute_threads = workers if batch is None else 1
+        self.batch_config = batch if batch is not None else BatchConfig()
+        self._collector = BatchCollector(self._queue, self.batch_config)
         self._state = ServiceState.STARTING
         self._state_lock = threading.Lock()
         self._swap_lock = threading.Lock()
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._pending = 0
         self._pending_cond = threading.Condition()
         self._ewma_s = 0.0
@@ -412,19 +399,15 @@ class InferenceService:
             if self._started:
                 return self
             self._started = True
-            target = (
-                self._worker_loop if self._collector is None
-                else self._worker_loop_batched
+            # The batch is the concurrency: the stacked forward already
+            # carries every queued request, and a second compute thread
+            # would only interleave with the first at the interpreter
+            # level (measured ~5x per-kernel inflation on a contended
+            # GIL), so the service runs exactly one compute thread.
+            self._thread = threading.Thread(
+                target=self._worker_loop, daemon=True, name="repro-serve"
             )
-            self._threads = [
-                threading.Thread(
-                    target=target, args=(i,), daemon=True,
-                    name=f"repro-serve-{i}",
-                )
-                for i in range(self._compute_threads)
-            ]
-            for t in self._threads:
-                t.start()
+            self._thread.start()
             self._state = ServiceState.READY
         return self
 
@@ -453,29 +436,26 @@ class InferenceService:
         return True
 
     def close(self, timeout: float | None = 10.0) -> None:
-        """Graceful shutdown: drain, stop the workers, reject stragglers."""
+        """Graceful shutdown: drain, stop the worker, reject stragglers."""
         self.drain(timeout)
         with self._state_lock:
             if self._state == ServiceState.STOPPED:
                 return
             self._state = ServiceState.STOPPED
-        for _ in self._threads:
-            self._queue.put(None)  # one pill per worker
-        for t in self._threads:
-            t.join(timeout=2.0)
-        # Anything still queued after a timed-out drain resolves typed.
+        if self._thread is not None:
+            self._queue.put(None)  # shutdown pill
+            self._thread.join(timeout=2.0)
+        # Anything still queued or parked after a timed-out drain
+        # resolves typed.
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is not None:
-                item.future._reject(ServiceUnavailable("service stopped"))
-                self._finish_pending()
-        if self._collector is not None:
-            for item in self._collector.drain_pending():
-                item.future._reject(ServiceUnavailable("service stopped"))
-                self._finish_pending()
+                self._settle_reject(item, ServiceUnavailable("service stopped"))
+        for item in self._collector.drain_pending():
+            self._settle_reject(item, ServiceUnavailable("service stopped"))
 
     @property
     def state(self) -> str:
@@ -535,149 +515,19 @@ class InferenceService:
 
     def retry_after_estimate(self) -> float:
         """When a shed client should try again: queue depth × recent
-        per-request service time, spread over the compute threads that
-        actually run (one when batched)."""
+        per-request service time on the one compute thread."""
         with self._ewma_lock:
             per_request = self._ewma_s
-        depth = self._queue.qsize()
-        return max(0.005, depth * max(per_request, 0.001) / self._compute_threads)
+        return max(0.005, self._queue.qsize() * max(per_request, 0.001))
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution: one compute thread, every request a batch member
     # ------------------------------------------------------------------
-    def _worker_loop(self, index: int) -> None:
-        rng = np.random.default_rng(self._seed * 7919 + index)
-        while True:
-            req = self._queue.get()
-            if req is None:
-                return
-            try:
-                self._handle(req, rng)
-            finally:
-                self._finish_pending()
-
     def _finish_pending(self, count: int = 1) -> None:
         with self._pending_cond:
             self._pending -= count
             if self._pending <= 0:
                 self._pending_cond.notify_all()
-
-    def _handle(self, req: _Request, rng: np.random.Generator) -> None:
-        if self._state == ServiceState.STOPPED:
-            req.future._reject(ServiceUnavailable("service stopped"))
-            return
-        if req.deadline.expired:
-            self.stats.bump("deadline_misses")
-            req.future._reject(
-                DeadlineExceeded(
-                    f"deadline budget ({req.deadline.budget_s:.3f}s) expired "
-                    "while the request was queued"
-                )
-            )
-            return
-        delays = self.retry.delays(rng)
-        attempt = 0
-        t0 = time.monotonic()
-        while True:
-            attempt += 1
-            tier, probe = self.breaker.acquire(width=req.width)
-            try:
-                y = self._compute(req, tier)
-            except ReproError as exc:
-                if getattr(exc, "input_rejection", False):
-                    # Client error: not a path failure, not retryable.
-                    self.stats.bump("input_rejections")
-                    req.future._reject(exc)
-                    return
-                self.breaker.record(tier, False, probe=probe)
-                delay = next(delays)
-                if (
-                    is_transient(exc)
-                    and attempt < self.retry.max_attempts
-                    and req.deadline.remaining() > delay
-                ):
-                    self.stats.bump("retries")
-                    time.sleep(delay)
-                    continue
-                self.stats.bump("failed")
-                if req.deadline.expired:
-                    self.stats.bump("deadline_misses")
-                    final: ReproError = DeadlineExceeded(
-                        f"deadline budget ({req.deadline.budget_s:.3f}s) "
-                        f"exhausted after {attempt} attempt(s); last error: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    final.__cause__ = exc
-                else:
-                    final = exc
-                req.future._reject(final)
-                return
-            self.breaker.record(tier, True, probe=probe)
-            self._observe_latency(time.monotonic() - t0)
-            self.stats.bump("completed")
-            req.future._resolve(y)
-            return
-
-    def _compute(self, req: _Request, tier: ServeTier) -> np.ndarray:
-        slot = self._slot  # one atomic read: swaps do not tear a request
-        req.future.generation = slot.generation
-        x = req.x
-        guarded = tier is ServeTier.GUARDED
-        if tier is ServeTier.DEGRADED or (not guarded and slot.route == "csr"):
-            # DEGRADED always serves float32 CSR, and FAST does when the
-            # tuned race chose it.  GUARDED keeps the guarded-CBM kernel,
-            # so the breaker ladder is the same whichever format won.
-            return self._compute_csr(slot, x)
-        guard = GuardedKernel(
-            slot.cbm,
-            source=slot.source if guarded else None,
-            strict=not guarded,
-            threads=self.threads,
-            branch_timeout=self.branch_timeout,
-            deadline=req.deadline.expires_at if self.threads is not None else None,
-            executor_factory=self.executor_factory,
-            stats=slot.stats,
-            validate_outputs=self.validate,
-            on_degrade=(
-                (lambda exc: self.breaker.note_internal_failure()) if guarded else None
-            ),
-        )
-        if self.weights is not None:
-            from repro.gnn.gcn import two_layer_gcn_inference
-
-            return two_layer_gcn_inference(GuardedAdjacency(guard), x, *self.weights)
-        if req.vector:
-            return guard.matvec(x.astype(np.float32, copy=False))
-        return guard.matmul(x.astype(np.float32, copy=False))
-
-    def _compute_csr(self, slot: AdjacencySlot, x) -> np.ndarray:
-        """Forward through the slot's float32 CSR operator.
-
-        A non-finite product raises :class:`NumericalError` like every
-        other tier, so the breaker records the failure.
-        """
-        x = np.asarray(x, dtype=np.float32)
-        csr = slot.float32_csr()
-        if self.weights is not None:
-            from repro.gnn.gcn import two_layer_gcn_inference
-
-            y = two_layer_gcn_inference(csr, x, *self.weights)
-        else:
-            y = csr.matmul(x)
-        if self.validate and not all_finite(y):
-            if not all_finite(x):
-                err = NumericalError(
-                    "request operand contains NaN/Inf; no serving tier "
-                    "can repair a corrupted input"
-                )
-                err.input_rejection = True
-                slot.stats.record_input_rejection()
-                raise err
-            raise NumericalError(
-                "CSR product is non-finite; the stored matrix or the "
-                "operand is corrupted beyond recovery"
-            )
-        return y
 
     def _observe_latency(self, seconds: float) -> None:
         with self._ewma_lock:
@@ -686,16 +536,13 @@ class InferenceService:
             else:
                 self._ewma_s = 0.8 * self._ewma_s + 0.2 * seconds
 
-    # ------------------------------------------------------------------
-    # Micro-batched execution (active when a BatchConfig was supplied)
-    # ------------------------------------------------------------------
     def _settle_reject(self, req: _Request, exc: BaseException) -> None:
         """One request leaves the system with a typed error."""
         req.future._reject(exc)
         self._finish_pending()
 
-    def _worker_loop_batched(self, index: int) -> None:
-        rng = np.random.default_rng(self._seed * 7919 + index)
+    def _worker_loop(self) -> None:
+        rng = np.random.default_rng(self._seed * 7919)
         while True:
             batch = self._collector.next_batch(lambda: self._slot)
             if batch is None:
@@ -745,7 +592,7 @@ class InferenceService:
         t0 = time.monotonic()
         tier, probe = self.breaker.acquire(width=batch.width)
         try:
-            outs = self._compute_batch(batch, tier)
+            outs, fell_back = self._compute_batch(batch, tier)
         except ReproError as exc:
             if getattr(exc, "input_rejection", False):
                 # A poisoned operand somewhere in the stack: not a path
@@ -755,7 +602,9 @@ class InferenceService:
             self.breaker.record(tier, False, probe=probe)
             self._retry_or_fail_batch(batch, exc, rng)
             return
-        self.breaker.record(tier, True, probe=probe)
+        # One outcome per execution: a guard that fell back served a
+        # repaired answer, but the fast path under it failed.
+        self.breaker.record(tier, not fell_back, probe=probe)
         self.stats.bump("batches")
         if len(live) > 1:
             self.stats.bump("coalesced", by=len(live))
@@ -766,29 +615,36 @@ class InferenceService:
             req.future._resolve(y)
         self._finish_pending(len(live))
 
-    def _compute_batch(self, batch: Batch, tier: ServeTier) -> list[np.ndarray]:
+    def _compute_batch(
+        self, batch: Batch, tier: ServeTier
+    ) -> tuple[list[np.ndarray], bool]:
         """Stack the members, run one forward, split the result.
 
-        Every member's output slice is bitwise identical to the product
-        it would have received unbatched: the SpMM/update-stage kernels
-        are column-wise independent, and the GCN GEMM stages run on
-        contiguous per-member blocks (see :mod:`repro.serving.batching`).
-        Quantised padding columns are zero-filled by the pool and inert.
+        Returns the per-member outputs and whether the guard fell back.
+        Every member's output is bitwise identical to the direct kernel
+        product of its own operand: the SpMM/update-stage kernels are
+        column-wise independent, and the GCN GEMM stages row-partition
+        (see :mod:`repro.serving.batching`).  Quantised padding columns
+        are zero-filled by the pool and inert.
         """
         slot = batch.slot
         cfg = self.batch_config
         members = batch.members
-        layout = batch.layout(quantum=cfg.quantum)
+        spans = batch.layout(quantum=cfg.quantum).spans()
         plan = slot.cbm.plan()
-        xs = plan.stacked_operand(layout.used_columns, np.float32, quantum=cfg.quantum)
+        xs = plan.stacked_operand(batch.width, np.float32, quantum=cfg.quantum)
+        fell_back: list[ReproError] = []
         try:
-            for req, (lo, hi) in zip(members, layout.spans()):
+            for req, (lo, hi) in zip(members, spans):
                 col = np.asarray(req.x, dtype=np.float32)
                 xs[:, lo:hi] = col[:, None] if req.vector else col
             csr_tier = tier is ServeTier.DEGRADED or (
                 tier is ServeTier.FAST and slot.route == "csr"
             )
             if csr_tier:
+                # DEGRADED always serves float32 CSR, and FAST does when
+                # the tuned race chose it.  GUARDED keeps the guarded-CBM
+                # kernel, so the ladder is the same whichever format won.
                 product = slot.float32_csr().matmul
             else:
                 guarded = tier is ServeTier.GUARDED
@@ -804,27 +660,24 @@ class InferenceService:
                     executor_factory=self.executor_factory,
                     stats=slot.stats,
                     validate_outputs=self.validate,
-                    on_degrade=(
-                        (lambda exc: self.breaker.note_internal_failure())
-                        if guarded
-                        else None
-                    ),
+                    on_degrade=fell_back.append,
                 )
                 product = guard.matmul
             if self.weights is not None:
-                outs = self._compute_batch_gcn(product, xs, layout, plan, cfg)
+                outs = self._compute_batch_gcn(product, xs, len(members), plan)
             else:
+                # The kernel allocates ys fresh, and it never goes back
+                # to the pool: a member alone at the full stacked width
+                # receives a view of it, which a later batch must not be
+                # handed as its stacked operand.
                 ys = product(xs)
-                try:
-                    outs = [
-                        ys[:, lo].copy() if req.vector else np.ascontiguousarray(ys[:, lo:hi])
-                        for req, (lo, hi) in zip(members, layout.spans())
-                    ]
-                finally:
-                    plan.release(ys)
+                outs = [
+                    ys[:, lo].copy() if req.vector else np.ascontiguousarray(ys[:, lo:hi])
+                    for req, (lo, hi) in zip(members, spans)
+                ]
             if csr_tier and self.validate:
                 # The guarded tiers validate inside GuardedKernel; the two
-                # CSR tiers validate here, mirroring _compute.
+                # CSR tiers validate here.
                 if not all(all_finite(y) for y in outs):
                     if not all_finite(xs):
                         err = NumericalError(
@@ -838,88 +691,45 @@ class InferenceService:
                         "CSR reference product is non-finite; the stored matrix "
                         "or an operand is corrupted beyond recovery"
                     )
-            return outs
+            return outs, bool(fell_back)
         finally:
             plan.release(xs)
 
-    def _compute_batch_gcn(self, product, xs, layout, plan, cfg) -> list[np.ndarray]:
-        """Batched two-layer GCN: stacked SpMM stages, per-member GEMMs.
+    def _compute_batch_gcn(self, product, xs, members: int, plan) -> list[np.ndarray]:
+        """Batched two-layer GCN ``Â σ(Â X W⁰) W¹``: stacked SpMMs,
+        whole-batch GEMMs.
 
-        ``W⁰`` maps each member's feature width to the hidden width, so
-        the GEMM stages cannot run on the stacked operand directly; each
-        runs on that member's contiguous block of the stacked aggregate,
-        which keeps every member bitwise identical to its unbatched
-        ``Â σ(Â X W⁰) W¹``.
-
-        When every member has the same feature width the per-member GEMM
-        loop collapses into two whole-batch GEMMs on reshaped views —
-        ``(n·m, p) @ W⁰`` row-partitions exactly like ``m`` separate
-        ``(n, p) @ W⁰`` products, so the results stay bitwise identical
-        while the per-member dispatch and strided block copies (the
-        dominant single-core batch cost) disappear.
+        :meth:`submit` fixes every GCN operand's width at ``W⁰``'s input
+        dimension, so a batch is ``members`` equal blocks.
+        ``c1[:, :members·p]`` reshaped to ``(n·members, p)`` puts every
+        member's aggregate rows through one GEMM, which row-partitions
+        exactly like ``members`` separate ``(n, p) @ W⁰`` products, so
+        each member stays bitwise identical to its own forward.  The
+        hidden activations come back already laid out as the stacked
+        operand of the second SpMM (member-major within each row), so no
+        per-member packing happens between the two products.  The
+        intermediate products go back to the pool: every output is a
+        copy.
         """
         w0, w1 = self.weights
-        hidden = int(w0.shape[1])
+        width, hidden = w0.shape
+        classes = int(w1.shape[1])
         c1 = product(xs)
         try:
-            spans = layout.spans()
-            widths = {hi - lo for lo, hi in spans}
-            if len(widths) == 1:
-                return self._batch_gcn_uniform(
-                    product, c1, len(spans), widths.pop(), plan
-                )
-            h_layout = BatchLayout.pack(
-                [hidden] * len(layout.members), quantum=cfg.quantum, n_rows=layout.n_rows
-            )
-            hs = plan.stacked_operand(
-                h_layout.used_columns, np.float32, quantum=cfg.quantum
-            )
-            try:
-                for (lo, hi), (hlo, hhi) in zip(spans, h_layout.spans()):
-                    block = np.ascontiguousarray(c1[:, lo:hi])
-                    hs[:, hlo:hhi] = np.maximum(block @ w0, 0.0)
-                c2 = product(hs)
-                try:
-                    return [
-                        np.ascontiguousarray(c2[:, hlo:hhi]) @ w1
-                        for hlo, hhi in h_layout.spans()
-                    ]
-                finally:
-                    plan.release(c2)
-            finally:
-                plan.release(hs)
+            n = c1.shape[0]
+            # The pool may have quantised xs (so c1) wider than the
+            # batch; reshape falls back to one contiguous copy then.
+            h1 = c1[:, : members * width].reshape(n * members, width) @ w0
         finally:
             plan.release(c1)
-
-    def _batch_gcn_uniform(self, product, c1, members, width, plan) -> list[np.ndarray]:
-        """Whole-batch GEMM stages for a batch of equal-width members.
-
-        ``c1[:, :members*width]`` reshaped to ``(n·m, width)`` puts every
-        member's aggregate rows through one GEMM; the hidden activations
-        come back already laid out as the stacked operand of the second
-        SpMM (member-major within each row), so no workspace packing or
-        per-member extraction happens between the two stacked products.
-        """
-        w0, w1 = self.weights
-        hidden = int(w0.shape[1])
-        n = c1.shape[0]
-        used = members * width
-        # The pool may have quantised c1 wider than the batch; reshape
-        # falls back to one contiguous copy in that case.
-        flat = c1[:, :used].reshape(n * members, width)
-        h1 = flat @ w0
         np.maximum(h1, 0.0, out=h1)
-        hs = h1.reshape(n, members * hidden)
-        c2 = product(hs)
+        c2 = product(h1.reshape(n, members * hidden))
         try:
-            classes = int(w1.shape[1])
-            o = c2[:, : members * hidden].reshape(n * members, hidden) @ w1
-            stacked = np.ascontiguousarray(
-                o.reshape(n, members, classes).transpose(1, 0, 2)
-            )
-            return [stacked[i].copy() for i in range(members)]
+            o = c2.reshape(n * members, hidden) @ w1
         finally:
             plan.release(c2)
+        stacked = np.ascontiguousarray(o.reshape(n, members, classes).transpose(1, 0, 2))
+        return [stacked[i].copy() for i in range(members)]
 
     def _attribute_poison(self, batch: Batch, exc: ReproError) -> None:
         """Batch-level input rejection → per-member attribution.
@@ -1141,15 +951,13 @@ class InferenceService:
         """Liveness + readiness + the counters an operator would page on."""
         with self._ewma_lock:
             ewma = self._ewma_s
-        batching = None
-        if self._collector is not None:
-            cfg = self.batch_config
-            batching = {
-                "max_columns": cfg.max_columns,
-                "quantum": cfg.quantum,
-                "pending": self._collector.pending_count(),
-                "collector": self._collector.stats.snapshot(),
-            }
+        cfg = self.batch_config
+        batching = {
+            "max_columns": cfg.max_columns,
+            "quantum": cfg.quantum,
+            "pending": self._collector.pending_count(),
+            "collector": self._collector.stats.snapshot(),
+        }
         slot = self._slot
         streaming = None
         tracker = getattr(slot, "tracker", None)
@@ -1165,7 +973,7 @@ class InferenceService:
         return {
             "state": self._state,
             "ready": self.ready(),
-            "live_workers": sum(1 for t in self._threads if t.is_alive()),
+            "live_workers": int(self._thread is not None and self._thread.is_alive()),
             "queue_depth": self._queue.qsize(),
             "queue_capacity": self.queue_capacity,
             "ewma_latency_s": ewma,

@@ -40,6 +40,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.serving.backoff import RetryPolicy
+from repro.serving.batching import BatchConfig
 from repro.serving.breaker import CircuitBreaker, ServeTier
 from repro.serving.service import AdjacencySlot, InferenceService
 from repro.sparse.csr import CSRMatrix
@@ -174,7 +175,7 @@ def _burst(
     rng = np.random.default_rng(seed)
     n = source.shape[1]
     # Pre-generate the operands: the burst must be submission-bound
-    # (microseconds apart), not RNG-bound, to outrun the workers.
+    # (microseconds apart), not RNG-bound, to outrun the compute thread.
     operands = [rng.standard_normal((n, p)).astype(np.float32) for _ in range(count)]
     inflight: list[tuple[np.ndarray, object, float]] = []
     for x in operands:
@@ -249,7 +250,6 @@ def run_soak(
     p: int = 16,
     deadline_s: float = 2.0,
     threads: int = 2,
-    workers: int = 2,
     queue_capacity: int = 8,
     fail_rate: float = 0.45,
     stall_rate: float = 0.15,
@@ -264,6 +264,11 @@ def run_soak(
     results, zero hung requests, the breaker demonstrably tripped to
     DEGRADED under chaos, and it recovered to FAST once the faults
     stopped.  ``ok`` is the conjunction.
+
+    The service caps a batch at ``p`` columns, so every request runs
+    alone: this soak's subject is the tier ladder under executor faults,
+    one outcome per request; coalescing under load is
+    :func:`run_batched_soak`'s subject.
     """
     from repro.reliability.chaos import ChaosExecutorFactory
 
@@ -287,7 +292,6 @@ def run_soak(
     slot = AdjacencySlot.from_graph(a, alpha=alpha)
     service = InferenceService(
         slot,
-        workers=workers,
         queue_capacity=queue_capacity,
         default_deadline_s=deadline_s,
         threads=threads,
@@ -295,6 +299,7 @@ def run_soak(
         retry=RetryPolicy(max_attempts=3, base_s=0.002, cap_s=0.05),
         breaker=breaker,
         executor_factory=chaos,
+        batch=BatchConfig(max_columns=p),
         seed=seed,
     )
     report: dict = {
@@ -307,7 +312,6 @@ def run_soak(
             "feature_width": p,
             "deadline_s": deadline_s,
             "threads": threads,
-            "workers": workers,
             "queue_capacity": queue_capacity,
             "fail_rate": fail_rate,
             "stall_rate": stall_rate,
@@ -546,7 +550,6 @@ def run_batched_soak(
     requests_per_client: int = 20,
     max_width: int = 8,
     deadline_s: float = 2.0,
-    workers: int = 2,
     queue_capacity: int = 64,
     max_columns: int = 32,
     nan_fraction: float = 0.15,
@@ -556,7 +559,8 @@ def run_batched_soak(
 ) -> dict:
     """Soak the micro-batching stage; return a JSON-ready report.
 
-    Three phases against a batched :class:`InferenceService`:
+    Three phases against an :class:`InferenceService` that coalesces up
+    to ``max_columns`` stacked columns per batch:
 
     1. **healthy** — concurrent clients with mixed request widths
        (vectors ride along as width-1 columns); proves coalescing
@@ -574,8 +578,6 @@ def run_batched_soak(
     hung, zero cross-generation results, coalescing effective, poison
     isolated.  ``ok`` is the conjunction.
     """
-    from repro.serving.batching import BatchConfig
-
     if clients < 1 or requests_per_client < 1:
         raise ValueError("need at least one client and one request per client")
     slot_a = AdjacencySlot.from_graph(a, alpha=alpha)
@@ -591,7 +593,6 @@ def run_batched_soak(
 
     service = InferenceService(
         slot_a,
-        workers=workers,
         queue_capacity=queue_capacity,
         default_deadline_s=deadline_s,
         retry=RetryPolicy(max_attempts=3, base_s=0.002, cap_s=0.05),
@@ -607,7 +608,6 @@ def run_batched_soak(
             "requests_per_client": requests_per_client,
             "max_width": max_width,
             "deadline_s": deadline_s,
-            "workers": workers,
             "queue_capacity": queue_capacity,
             "max_columns": max_columns,
             "nan_fraction": nan_fraction,

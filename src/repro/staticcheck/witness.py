@@ -171,10 +171,9 @@ def instrument(obj, witness: LockWitness, *, owner: str | None = None) -> list[s
 def witness_service(service, witness: LockWitness | None = None) -> LockWitness:
     """Instrument an :class:`InferenceService` and its helpers (duck-typed).
 
-    Wraps the service's own locks plus the stats object's and — when the
-    batched path is configured — the collector's, so a soak run through
-    the instrumented service records every acquisition order the serving
-    layer actually exhibits.  Returns the witness for later
+    Wraps the service's own locks plus those of its stats object, batch
+    collector and breaker, so a soak run through the instrumented service
+    records every acquisition order the serving layer actually exhibits.  Returns the witness for later
     :func:`cross_check`.
     """
     w = witness or LockWitness()

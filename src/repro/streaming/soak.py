@@ -247,7 +247,6 @@ def run_mutation_soak(
 
     service = InferenceService(
         slot0,
-        workers=2,
         queue_capacity=max(128, clients * 16),
         default_deadline_s=deadline_s,
         batch=BatchConfig(max_columns=max_columns),

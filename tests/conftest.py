@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.serving import InferenceService
 from repro.sparse.convert import from_dense
 from repro.sparse.csr import CSRMatrix
 
@@ -76,3 +79,22 @@ def paper_figure_matrix() -> CSRMatrix:
         dtype=np.float32,
     )
     return from_dense(a)
+
+
+class HeldService(InferenceService):
+    """Holds the first batch's forward until the test sets ``release``.
+
+    ``entered`` is set once that batch is executing, so a test can queue
+    requests behind it and know they form later batches.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _compute_batch(self, batch, tier):
+        if not self.entered.is_set():
+            self.entered.set()
+            self.release.wait(30.0)
+        return super()._compute_batch(batch, tier)

@@ -4,10 +4,10 @@ Two invariants, driven over random request mixes:
 
 * **Bitwise parity** — whatever mix of widths (including 1-D vector
   riders) the collector coalesces, every member's output is bitwise
-  identical to the output the same request gets from an unbatched
-  service over the same CBM.  This is the correctness contract the
-  throughput win rests on: column-wise independent kernels plus
-  contiguous per-member GEMM blocks.
+  identical to the direct kernel product of its own operand: a strict
+  ``GuardedKernel`` ``matmul``/``matvec``, or the two-layer GCN forward
+  over it.  This is the correctness contract the throughput win rests
+  on: column-wise independent kernels plus row-partitioned GEMM stages.
 * **Guard fallback mid-batch** — when the CBM payload is corrupted and
   the breaker has degraded the service to the guarded tier, the stacked
   forward falls back to the CSR reference and every member still
@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.builder import build_cbm
-from repro.reliability import FallbackWarning
+from repro.gnn.gcn import two_layer_gcn_inference
+from repro.reliability import FallbackWarning, GuardedAdjacency, GuardedKernel
 from repro.reliability.chaos import corrupt_deltas
 from repro.serving import (
     AdjacencySlot,
-    BatchConfig,
     CircuitBreaker,
     InferenceService,
     ServeTier,
@@ -68,19 +68,15 @@ def request_mixes(draw):
 @given(request_mixes())
 @settings(max_examples=10, deadline=None)
 def test_batched_bitwise_equals_unbatched(operands):
-    results = {}
-    for mode in ("unbatched", "batched"):
-        with InferenceService(
-            _fresh_slot(),
-            batch=(BatchConfig() if mode == "batched" else None),
-            seed=1,
-        ) as svc:
-            futures = [svc.submit(x) for x in operands]
-            results[mode] = [f.result(30.0) for f in futures]
-    for x, yb, yu in zip(operands, results["batched"], results["unbatched"]):
-        assert yb.shape == yu.shape
-        assert yb.dtype == yu.dtype
-        assert np.array_equal(yb, yu)
+    with InferenceService(_fresh_slot(), seed=1) as svc:
+        futures = [svc.submit(x) for x in operands]
+        outs = [f.result(30.0) for f in futures]
+    guard = GuardedKernel(_CBM, strict=True)
+    for x, y in zip(operands, outs):
+        want = guard.matvec(x) if x.ndim == 1 else guard.matmul(x)
+        assert y.shape == want.shape
+        assert y.dtype == want.dtype
+        assert np.array_equal(y, want)
 
 
 @given(request_mixes())
@@ -88,8 +84,7 @@ def test_batched_bitwise_equals_unbatched(operands):
 def test_gcn_batched_bitwise_equals_unbatched(operands):
     # GCN serving fixes the feature width at W0's input dimension, so
     # reuse only the example count and seeds: every operand becomes a
-    # (N, p) block (the uniform-width fast path is the one that runs in
-    # production).
+    # (N, p) block.
     p, hidden, classes = 2, 3, 2
     rng = np.random.default_rng(len(operands))
     weights = (
@@ -101,18 +96,12 @@ def test_gcn_batched_bitwise_equals_unbatched(operands):
         + rng.standard_normal((N, p)).astype(np.float32)
         for x in operands
     ]
-    results = {}
-    for mode in ("unbatched", "batched"):
-        with InferenceService(
-            _fresh_slot(),
-            weights=weights,
-            batch=(BatchConfig() if mode == "batched" else None),
-            seed=1,
-        ) as svc:
-            futures = [svc.submit(x) for x in xs]
-            results[mode] = [f.result(30.0) for f in futures]
-    for yb, yu in zip(results["batched"], results["unbatched"]):
-        assert np.array_equal(yb, yu)
+    with InferenceService(_fresh_slot(), weights=weights, seed=1) as svc:
+        futures = [svc.submit(x) for x in xs]
+        outs = [f.result(30.0) for f in futures]
+    adj = GuardedAdjacency(GuardedKernel(_CBM, strict=True))
+    for x, y in zip(xs, outs):
+        assert np.array_equal(y, two_layer_gcn_inference(adj, x, *weights))
 
 
 @pytest.mark.filterwarnings("ignore::repro.reliability.FallbackWarning")
@@ -133,12 +122,7 @@ def test_guard_fallback_mid_batch_serves_reference(operands):
     assert breaker.tier is ServeTier.GUARDED
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FallbackWarning)
-        with InferenceService(
-            AdjacencySlot(cbm, _A),
-            batch=BatchConfig(),
-            breaker=breaker,
-            seed=1,
-        ) as svc:
+        with InferenceService(AdjacencySlot(cbm, _A), breaker=breaker, seed=1) as svc:
             futures = [svc.submit(x) for x in operands]
             outs = [f.result(30.0) for f in futures]
     for x, y in zip(operands, outs):

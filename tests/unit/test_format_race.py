@@ -105,7 +105,7 @@ class TestServingSurface:
     def test_health_and_describe_expose_format_block(self):
         a = random_adjacency_csr(40, density=0.2, seed=5)
         slot = AdjacencySlot.from_graph(a)
-        with InferenceService(slot, workers=1) as svc:
+        with InferenceService(slot) as svc:
             assert svc.health()["format"] == {
                 "route": "cbm", "tuned_width": None, "cbm_s": None, "csr_s": None,
             }
@@ -128,7 +128,7 @@ class TestServingSurface:
         slot = AdjacencySlot.from_graph(a)
         with _fixed_race(CSR_WINS):
             slot.tune(8)
-        with InferenceService(slot, workers=1) as svc:
+        with InferenceService(slot) as svc:
             fresh = AdjacencySlot(slot.cbm, slot.source)
             with _fixed_race({"cbm": 1.0, "csr": 2.0}):
                 fresh.tune(2)
@@ -162,7 +162,7 @@ class TestSwapKeepsRoute:
         width = 6
         with _fixed_race(CSR_WINS):
             slot.tune(width)
-            with InferenceService(slot, workers=1) as svc:
+            with InferenceService(slot) as svc:
                 self._assert_csr(svc, width)
 
                 m.apply(EdgeBatch.random(src, inserts=3, deletes=3, seed=1))

@@ -310,7 +310,7 @@ def _commit_archive(store, seed=1):
 class TestSwapGeneration:
     def _service(self):
         slot = AdjacencySlot.from_graph(random_adjacency_csr(24, seed=0), alpha=2)
-        return InferenceService(slot, workers=1)
+        return InferenceService(slot)
 
     def test_swaps_to_newest_committed(self, tmp_path):
         store = GenerationStore(tmp_path / "store")

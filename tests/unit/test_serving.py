@@ -37,10 +37,9 @@ from repro.reliability.chaos import (
     corrupt_archive,
     corrupt_deltas,
 )
-from repro.reliability.guard import GuardStats
+from repro.reliability.guard import GuardedAdjacency, GuardStats
 from repro.serving import (
     AdjacencySlot,
-    BatchConfig,
     BreakerState,
     CircuitBreaker,
     Deadline,
@@ -52,7 +51,7 @@ from repro.serving import (
 )
 from repro.sparse.ops import spmm, spmv
 
-from tests.conftest import random_adjacency_csr
+from tests.conftest import HeldService, random_adjacency_csr
 
 
 class FakeClock:
@@ -272,11 +271,37 @@ class TestCircuitBreaker:
         assert b.state is BreakerState.OPEN
         assert b.tier is tier_before
 
-    def test_note_internal_failure_feeds_the_window(self):
-        b = self._breaker(FakeClock())
-        for _ in range(3):
-            b.note_internal_failure()
-        assert b.tier is ServeTier.GUARDED
+    @pytest.mark.filterwarnings("ignore::repro.reliability.FallbackWarning")
+    def test_guard_fallback_is_one_failed_outcome(self):
+        # The guard repairs the answer, but the fast path under it
+        # failed: the execution records one failure and no success.
+        a, slot = _slot()
+        corrupt_deltas(slot.cbm, mode="nan", seed=0)
+        breaker = _PinnedBreaker(ServeTier.GUARDED)
+        x = np.random.default_rng(12).random((40, 4)).astype(np.float32)
+        with InferenceService(slot, breaker=breaker) as svc:
+            y = svc.submit(x).result(5.0)
+        np.testing.assert_allclose(y, spmm(a, x), rtol=1e-5)
+        assert breaker.outcomes == [(ServeTier.GUARDED, False, False)]
+
+    @pytest.mark.filterwarnings("ignore::repro.reliability.FallbackWarning")
+    def test_probe_whose_guard_fell_back_fails_the_probe(self):
+        clock = FakeClock()
+        b = CircuitBreaker(
+            window=4, failure_threshold=1, cooldown_s=1.0, probe_budget=2, clock=clock
+        )
+        _fail(b, 2)  # FAST -> GUARDED -> DEGRADED
+        assert b.tier is ServeTier.DEGRADED
+        clock.advance(1.1)  # half-open: the next execution probes GUARDED
+        a, slot = _slot()
+        corrupt_deltas(slot.cbm, mode="nan", seed=0)
+        x = np.random.default_rng(13).random((40, 4)).astype(np.float32)
+        with InferenceService(slot, breaker=b) as svc:
+            y = svc.submit(x).result(5.0)
+        np.testing.assert_allclose(y, spmm(a, x), rtol=1e-5)
+        assert b.transition_log()[-1]["event"] == "probe_failed"
+        assert b.tier is ServeTier.DEGRADED
+        assert b.state is BreakerState.OPEN
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +403,16 @@ class _SlowService(InferenceService):
 
     compute_delay = 0.15
 
-    def _compute(self, req, tier):
+    def _compute_batch(self, batch, tier):
         time.sleep(self.compute_delay)
-        return super()._compute(req, tier)
+        return super()._compute_batch(batch, tier)
 
 
 class TestInferenceService:
     def test_happy_path_matches_reference(self):
         a, slot = _slot()
         x = np.random.default_rng(0).random((40, 6)).astype(np.float32)
-        with InferenceService(slot, workers=2) as svc:
+        with InferenceService(slot) as svc:
             y = svc.submit(x).result(5.0)
             np.testing.assert_allclose(y, spmm(a, x), rtol=1e-5)
             assert svc.health()["service"]["completed"] == 1
@@ -395,7 +420,7 @@ class TestInferenceService:
     def test_vector_requests(self):
         a, slot = _slot()
         v = np.random.default_rng(1).random(40).astype(np.float32)
-        with InferenceService(slot, workers=1) as svc:
+        with InferenceService(slot) as svc:
             u = svc.submit(v).result(5.0)
             np.testing.assert_allclose(u, spmv(a, v), rtol=1e-5)
 
@@ -410,7 +435,7 @@ class TestInferenceService:
         w0 = rng.random((8, 6)).astype(np.float32) - 0.5
         w1 = rng.random((6, 3)).astype(np.float32) - 0.5
         expected = two_layer_gcn_inference(CSRAdjacency(slot.source), x, w0, w1)
-        with InferenceService(slot, workers=1, weights=(w0, w1)) as svc:
+        with InferenceService(slot, weights=(w0, w1)) as svc:
             y = svc.submit(x).result(5.0)
         np.testing.assert_allclose(y, expected, rtol=1e-4, atol=1e-5)
 
@@ -437,7 +462,7 @@ class TestInferenceService:
 
     def test_overload_sheds_with_retry_after(self):
         _, slot = _slot()
-        svc = _SlowService(slot, workers=1, queue_capacity=2)
+        svc = _SlowService(slot, queue_capacity=2)
         x = np.random.default_rng(2).random((40, 4)).astype(np.float32)
         with svc:
             futures, sheds = [], []
@@ -453,12 +478,19 @@ class TestInferenceService:
                 f.result(10.0)  # admitted requests all resolve
 
     def test_deadline_expires_in_queue(self):
+        # The blocker's batch is held until the doomed request's deadline
+        # has passed, so the doomed request is dequeued already expired.
         _, slot = _slot()
-        svc = _SlowService(slot, workers=1, queue_capacity=4)
+        svc = HeldService(slot, queue_capacity=4)
         x = np.random.default_rng(3).random((40, 4)).astype(np.float32)
         with svc:
-            blocker = svc.submit(x, deadline_s=5.0)
-            doomed = svc.submit(x, deadline_s=0.02)
+            try:
+                blocker = svc.submit(x, deadline_s=5.0)
+                assert svc.entered.wait(10.0), "blocker never started"
+                doomed = svc.submit(x, deadline_s=0.02)
+                time.sleep(0.05)
+            finally:
+                svc.release.set()
             with pytest.raises(DeadlineExceeded):
                 doomed.result(10.0)
             blocker.result(10.0)
@@ -468,7 +500,7 @@ class TestInferenceService:
         a, slot = _slot()
         x = np.random.default_rng(4).random((40, 4)).astype(np.float32)
         x[3, 1] = np.nan
-        with InferenceService(slot, workers=1) as svc:
+        with InferenceService(slot) as svc:
             fut = svc.submit(x)
             with pytest.raises(NumericalError) as ei:
                 fut.result(5.0)
@@ -496,7 +528,7 @@ class TestInferenceService:
         factory = FailOnce()
         x = np.random.default_rng(5).random((40, 4)).astype(np.float32)
         with InferenceService(
-            slot, workers=1, threads=2, executor_factory=factory,
+            slot, threads=2, executor_factory=factory,
             retry=RetryPolicy(max_attempts=3, base_s=0.001, cap_s=0.01),
         ) as svc:
             y = svc.submit(x).result(10.0)
@@ -515,7 +547,7 @@ class TestInferenceService:
         x = np.random.default_rng(6).random((50, 4)).astype(np.float32)
         expected = spmm(a, x)
         with InferenceService(
-            slot, workers=1, threads=2, executor_factory=chaos, breaker=breaker,
+            slot, threads=2, executor_factory=chaos, breaker=breaker,
             retry=RetryPolicy(max_attempts=1, base_s=0.001, cap_s=0.01),
         ) as svc:
             failures = 0
@@ -541,7 +573,7 @@ class TestInferenceService:
 
     def test_drain_completes_inflight_work(self):
         _, slot = _slot()
-        svc = _SlowService(slot, workers=2, queue_capacity=8)
+        svc = _SlowService(slot, queue_capacity=8)
         svc.compute_delay = 0.05
         x = np.random.default_rng(7).random((40, 4)).astype(np.float32)
         with svc:
@@ -561,21 +593,24 @@ class TestInferenceService:
 
 
 class _PinnedBreaker(CircuitBreaker):
-    """Serves every execution at one tier: no trips, no probes."""
+    """Serves every execution at one tier: no trips, no probes; records
+    the outcomes it is fed."""
 
     def __init__(self, tier):
         super().__init__()
         self.tier = tier
+        self.outcomes = []
 
     def acquire(self, *, width=1):
         return self.tier, False
 
     def record(self, tier, ok, *, probe=False):
-        pass
+        self.outcomes.append((tier, ok, probe))
 
 
 class TestOutputDtypeAcrossTiers:
-    """Every tier serves float32 for float32 weights and operands."""
+    """Every tier serves float32 for float32 weights and operands, bitwise
+    equal to that tier's kernel called directly on each operand."""
 
     @pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
     @pytest.mark.parametrize("gcn", [True, False], ids=["gcn", "product"])
@@ -591,19 +626,25 @@ class TestOutputDtypeAcrossTiers:
         w0 = rng.random((8, 6)).astype(np.float32) - 0.5
         w1 = rng.random((6, 3)).astype(np.float32) - 0.5
         with InferenceService(
-            slot,
-            workers=1,
-            weights=(w0, w1) if gcn else None,
-            batch=BatchConfig() if batched else None,
-            breaker=_PinnedBreaker(tier),
+            slot, weights=(w0, w1) if gcn else None, breaker=_PinnedBreaker(tier)
         ) as svc:
-            ys = [f.result(5.0) for f in [svc.submit(x) for x in xs]]
+            if batched:  # submitted together: they may share a batch
+                ys = [f.result(5.0) for f in [svc.submit(x) for x in xs]]
+            else:  # each awaited before the next: a batch of one
+                ys = [svc.submit(x).result(5.0) for x in xs]
+        if tier is ServeTier.DEGRADED:
+            kernel = slot.float32_csr()
+        else:
+            kernel = GuardedAdjacency(GuardedKernel(slot.cbm, strict=True))
         for x, y in zip(xs, ys):
             if gcn:
+                want = two_layer_gcn_inference(kernel, x, w0, w1)
                 expected = two_layer_gcn_inference(CSRAdjacency(slot.source), x, w0, w1)
             else:
+                want = kernel.matmul(x)
                 expected = spmm(slot.source, x)
             assert y.dtype == np.float32
+            assert np.array_equal(y, want)
             np.testing.assert_allclose(y, expected, rtol=1e-4, atol=1e-5)
 
     def test_float32_copy_is_lazy_and_shared_with_the_race(self):
@@ -626,7 +667,7 @@ class TestHotSwap:
         path = tmp_path / "next.npz"
         save_cbm(path, cbm2)
         x = np.random.default_rng(8).random((40, 4)).astype(np.float32)
-        with InferenceService(slot, workers=1) as svc:
+        with InferenceService(slot) as svc:
             np.testing.assert_allclose(svc.submit(x).result(5.0), spmm(a1, x), rtol=1e-5)
             info = svc.swap_archive(path, warm_width=4)
             assert info["generation"] == 1
@@ -643,7 +684,7 @@ class TestHotSwap:
         save_cbm(path, cbm2)
         corrupt_archive(path, array="delta_data", mode="perturb", seed=0)
         x = np.random.default_rng(9).random((40, 4)).astype(np.float32)
-        with InferenceService(slot, workers=1) as svc:
+        with InferenceService(slot) as svc:
             with pytest.raises(IntegrityError):
                 svc.swap_archive(path)
             # Old generation still serving, correctly.

@@ -3,9 +3,10 @@ stacked execution paths, and the CI perf-regression gate.
 
 The load-bearing invariants:
 
-* every member of a batch receives output **bitwise identical** to what
-  it would have received unbatched (column-wise independence of the
-  kernels plus contiguous per-member GEMM blocks);
+* every member of a batch receives output **bitwise identical** to the
+  direct kernel product of its own operand (column-wise independence of
+  the kernels plus row-partitioned GEMM stages), and keeps it after
+  later batches run;
 * a batch never mixes adjacency generations (hot swap closes it early);
 * failure isolation is per-batch with per-request attribution — poison
   is charged to the poisoned member only, co-travellers are requeued
@@ -18,7 +19,6 @@ import importlib.util
 import json
 import pathlib
 import queue
-import threading
 import types
 from collections import deque
 
@@ -31,6 +31,8 @@ from repro.errors import (
     ParallelError,
     ShapeError,
 )
+from repro.gnn.gcn import two_layer_gcn_inference
+from repro.reliability.guard import GuardedAdjacency, GuardedKernel
 from repro.serving import (
     KIND_GCN,
     KIND_PRODUCT,
@@ -48,7 +50,7 @@ from repro.serving import (
 from repro.staticcheck import analyze_batch_layout
 from repro.sparse.ops import spmm, spmv
 
-from tests.conftest import random_adjacency_csr
+from tests.conftest import HeldService, random_adjacency_csr
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
@@ -246,7 +248,7 @@ class TestCollector:
 
 
 # ---------------------------------------------------------------------------
-# Stacked execution: bitwise parity with unbatched serving
+# Stacked execution: bitwise parity with the direct kernel products
 # ---------------------------------------------------------------------------
 def _slot_pair(n=40, seed=7, alpha=2):
     a = random_adjacency_csr(n, 0.15, seed)
@@ -255,33 +257,26 @@ def _slot_pair(n=40, seed=7, alpha=2):
 
 class TestBatchedParity:
     def test_product_batched_equals_unbatched_bitwise(self):
-        a, _ = _slot_pair()
+        a, slot = _slot_pair()
         rng = np.random.default_rng(0)
         # Mixed widths and a 1-D vector rider in the same workload.
         operands = [
             rng.standard_normal((a.shape[0], w)).astype(np.float32)
             for w in (1, 3, 2, 5)
         ] + [rng.standard_normal(a.shape[0]).astype(np.float32)]
-        results = {}
-        for mode in ("unbatched", "batched"):
-            slot = AdjacencySlot.from_graph(a, alpha=2)
-            with InferenceService(
-                slot,
-                batch=(
-                    BatchConfig() if mode == "batched" else None
-                ),
-                seed=3,
-            ) as svc:
-                futures = [svc.submit(x) for x in operands]
-                results[mode] = [f.result(30.0) for f in futures]
-        for x, yb, yu in zip(operands, results["batched"], results["unbatched"]):
-            # Bitwise identical to the unbatched forward; numerically
-            # equal to the CSR reference (the CBM kernel accumulates in
-            # a different order, so the reference is tolerance-based).
-            assert yb.shape == yu.shape
-            assert np.array_equal(yb, yu)
+        with InferenceService(slot, seed=3) as svc:
+            futures = [svc.submit(x) for x in operands]
+            results = [f.result(30.0) for f in futures]
+        # Reference: the direct kernel product of each operand alone.
+        guard = GuardedKernel(slot.cbm, strict=True)
+        for x, y in zip(operands, results):
+            want = guard.matvec(x) if x.ndim == 1 else guard.matmul(x)
+            assert y.shape == want.shape
+            assert np.array_equal(y, want)
+            # Numerically equal to the CSR reference (the CBM kernel
+            # accumulates in a different order, so tolerance-based).
             ref = spmv(a, x) if x.ndim == 1 else spmm(a, x)
-            np.testing.assert_allclose(yb, ref, rtol=1e-4, atol=1e-4)
+            np.testing.assert_allclose(y, ref, rtol=1e-4, atol=1e-4)
 
     def test_gcn_batched_equals_unbatched(self):
         a, _ = _slot_pair()
@@ -295,25 +290,34 @@ class TestBatchedParity:
             rng.standard_normal((a.shape[0], p)).astype(np.float32)
             for _ in range(6)
         ]
-        results = {}
-        for mode in ("unbatched", "batched"):
-            slot = AdjacencySlot.from_graph(a, alpha=2, normalized=True)
-            svc = InferenceService(
-                slot,
-                weights=weights,
-                batch=(
-                    BatchConfig() if mode == "batched" else None
-                ),
-                seed=3,
-            )
-            with svc:
-                futures = [svc.submit(x) for x in xs]
-                results[mode] = [f.result(30.0) for f in futures]
-            if mode == "batched":
-                snap = svc.stats.snapshot()
-                assert snap["coalesced"] > 0, "batch never formed; parity untested"
-        for yb, yu in zip(results["batched"], results["unbatched"]):
-            assert np.array_equal(yb, yu)
+        slot = AdjacencySlot.from_graph(a, alpha=2, normalized=True)
+        svc = InferenceService(slot, weights=weights, seed=3)
+        with svc:
+            futures = [svc.submit(x) for x in xs]
+            results = [f.result(30.0) for f in futures]
+        snap = svc.stats.snapshot()
+        assert snap["coalesced"] > 0, "batch never formed; parity untested"
+        adj = GuardedAdjacency(GuardedKernel(slot.cbm, strict=True))
+        for x, y in zip(xs, results):
+            assert np.array_equal(y, two_layer_gcn_inference(adj, x, *weights))
+
+    def test_answers_survive_later_batches(self):
+        # A member alone at a multiple of the quantum fills the whole
+        # stacked width, so its answer is a view of the stacked product.
+        # That product must never be handed to a later batch as its
+        # stacked operand, or the later request overwrites this answer.
+        a, slot = _slot_pair()
+        cfg = BatchConfig()
+        rng = np.random.default_rng(9)
+        xs = [
+            rng.standard_normal((a.shape[0], 2 * cfg.quantum)).astype(np.float32)
+            for _ in range(4)
+        ]
+        with InferenceService(slot, batch=cfg) as svc:
+            ys = [svc.submit(x).result(30.0) for x in xs]
+        guard = GuardedKernel(slot.cbm, strict=True)
+        for x, y in zip(xs, ys):
+            assert np.array_equal(y, guard.matmul(x))
 
     def test_gcn_rejects_wrong_feature_width(self):
         a, _ = _slot_pair()
@@ -323,7 +327,7 @@ class TestBatchedParity:
             rng.standard_normal((3, 4)).astype(np.float32),
             rng.standard_normal((4, 2)).astype(np.float32),
         )
-        with InferenceService(slot, weights=weights, batch=BatchConfig()) as svc:
+        with InferenceService(slot, weights=weights) as svc:
             with pytest.raises(ShapeError):
                 svc.submit(np.ones((a.shape[0], 5), dtype=np.float32))
             with pytest.raises(ShapeError):
@@ -332,7 +336,7 @@ class TestBatchedParity:
     def test_expired_deadline_rejected_per_member(self):
         _, slot = _slot_pair()
         x = np.ones((slot.cbm.shape[1], 2), dtype=np.float32)
-        with InferenceService(slot, batch=BatchConfig()) as svc:
+        with InferenceService(slot) as svc:
             svc.submit(x).result(30.0)  # warm: plan build off the hot path
             fut = svc.submit(x, deadline_s=1e-6)
             with pytest.raises(DeadlineExceeded):
@@ -341,44 +345,23 @@ class TestBatchedParity:
 
     def test_single_batched_compute_worker(self):
         # The batch IS the concurrency: more compute threads only convoy
-        # on the GIL, so the batched service runs exactly one worker no
-        # matter what `workers` says.
+        # on the GIL, so the service runs exactly one worker.
         _, slot = _slot_pair()
-        with InferenceService(slot, workers=4, batch=BatchConfig()) as svc:
+        with InferenceService(slot) as svc:
             health = svc.health()
             assert health["live_workers"] == 1
             assert health["batching"]["pending"] == 0
             assert "batches" in health["batching"]["collector"]
-        with InferenceService(slot, workers=2) as svc:
-            assert svc.health()["live_workers"] == 2
-            assert svc.health()["batching"] is None
 
     def test_retry_after_counts_the_one_batched_compute_thread(self):
         # Eight queued requests at 10 ms each drain in 80 ms on the one
-        # batched compute thread, whatever `workers` says; unbatched,
-        # four worker threads share the same queue.
+        # compute thread.
         _, slot = _slot_pair()
-        for batch, expected in ((BatchConfig(), 0.08), (None, 0.02)):
-            svc = InferenceService(slot, workers=4, queue_capacity=16, batch=batch)
-            svc._observe_latency(0.010)
-            for _ in range(8):
-                svc._queue.put_nowait(object())
-            assert svc.retry_after_estimate() == pytest.approx(expected)
-
-
-class _HeldService(InferenceService):
-    """Holds the first batch's forward until the test releases it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def _compute_batch(self, batch, tier):
-        if not self.entered.is_set():
-            self.entered.set()
-            self.release.wait(30.0)
-        return super()._compute_batch(batch, tier)
+        svc = InferenceService(slot, queue_capacity=16)
+        svc._observe_latency(0.010)
+        for _ in range(8):
+            svc._queue.put_nowait(object())
+        assert svc.retry_after_estimate() == pytest.approx(0.08)
 
 
 class TestWorkConserving:
@@ -397,7 +380,7 @@ class TestWorkConserving:
         rng = np.random.default_rng(8)
         xs = [rng.standard_normal((a.shape[0], 2)).astype(np.float32) for _ in range(6)]
         k = len(xs) - 1
-        svc = _HeldService(slot, batch=BatchConfig(), seed=2)
+        svc = HeldService(slot, seed=2)
         with svc:
             try:
                 first = svc.submit(xs[0])
@@ -424,9 +407,7 @@ class TestBatchFailureIsolation:
             rng.standard_normal((a.shape[0], 2)).astype(np.float32) for _ in range(3)
         ]
         poison = np.full((a.shape[0], 2), np.nan, dtype=np.float32)
-        with InferenceService(
-            slot, batch=BatchConfig(), seed=5
-        ) as svc:
+        with InferenceService(slot, seed=5) as svc:
             svc.submit(clean_x[0]).result(30.0)  # warm outside the poisoned batch
             futures = [svc.submit(x) for x in (clean_x[0], poison, *clean_x[1:])]
             results = []
@@ -447,7 +428,7 @@ class TestBatchFailureIsolation:
         # clean co-traveller — the co-traveller re-enters the collector
         # with attempts untouched.
         _, slot = _slot_pair()
-        svc = InferenceService(slot, batch=BatchConfig())
+        svc = InferenceService(slot)
         from repro.serving.batching import Batch
         from repro.serving.service import _Request
 
@@ -480,9 +461,7 @@ class TestBatchFailureIsolation:
     def test_transient_batch_failure_requeues_with_attempt_charge(self):
         _, slot = _slot_pair()
         svc = InferenceService(
-            slot,
-            batch=BatchConfig(),
-            retry=RetryPolicy(max_attempts=3, base_s=0.0001, cap_s=0.001),
+            slot, retry=RetryPolicy(max_attempts=3, base_s=0.0001, cap_s=0.001)
         )
         from repro.serving.batching import Batch
         from repro.serving.service import _Request
@@ -524,9 +503,7 @@ class TestBatchFailureIsolation:
             rng.standard_normal((40, 2)).astype(np.float32) for _ in range(8)
         ]
         refs = {0: a0, 1: a1}
-        with InferenceService(
-            slot0, batch=BatchConfig(), seed=7
-        ) as svc:
+        with InferenceService(slot0, seed=7) as svc:
             futures = [svc.submit(x) for x in xs[:4]]
             svc.swap_slot(AdjacencySlot.from_graph(a1, alpha=2))
             futures += [svc.submit(x) for x in xs[4:]]

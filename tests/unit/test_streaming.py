@@ -363,7 +363,7 @@ def _make_service_store(tmp_path, n=40, seed=18, retain=None):
 
     with store.begin(meta={"kind": "cbm-archive", "graph_version": 7}) as txn:
         save_cbm(txn.path("adjacency.npz", kind="cbm"), cbm)
-    service = InferenceService(AdjacencySlot(cbm, a), workers=1)
+    service = InferenceService(AdjacencySlot(cbm, a))
     return a, cbm, store, service
 
 
@@ -386,7 +386,7 @@ class TestServiceIntegration:
         v, cbm, src = m.snapshot()
         slot = AdjacencySlot(cbm, src, tracker=tracker)
         slot.graph_version = v
-        with InferenceService(slot, workers=1) as service:
+        with InferenceService(slot) as service:
             _, _, src = m.snapshot()
             m.apply(EdgeBatch.random(src, inserts=3, deletes=3, seed=1))
             health = service.health()
@@ -399,7 +399,7 @@ class TestServiceIntegration:
         a = random_adjacency_csr(30, density=0.2, seed=20)
         m = MutableAdjacency.from_graph(a)
         v, cbm, src = m.snapshot()
-        with InferenceService(AdjacencySlot(cbm, src), workers=1) as service:
+        with InferenceService(AdjacencySlot(cbm, src)) as service:
             _, _, src = m.snapshot()
             m.apply(EdgeBatch.random(src, inserts=3, deletes=3, seed=2))
             version, gen, slot = publish_snapshot(m, service)
@@ -416,7 +416,7 @@ class TestBackgroundRebuilder:
         m = MutableAdjacency.from_graph(a, tracker=tracker)
         v, cbm, src = m.snapshot()
         store = GenerationStore(tmp_path / "store")
-        with InferenceService(AdjacencySlot(cbm, src), workers=1) as service:
+        with InferenceService(AdjacencySlot(cbm, src)) as service:
             for j in range(3):
                 _, _, src = m.snapshot()
                 m.apply(EdgeBatch.random(src, inserts=3, deletes=3, seed=j))
