@@ -1,7 +1,7 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md.
 
-* level-vectorised vs per-edge update stage (our optimisation vs the
-  paper's literal axpy loop);
+* the paper's per-edge update loop, compiled, vs the NumPy level walk
+  it falls back to without a compiler;
 * deferred vs fused DAD scaling (our reformulation vs the paper's Eq. 6);
 * SciPy-backed vs pure-NumPy reference multiplication engine;
 * global vs clustered construction (the paper's future-work scaling idea);
@@ -15,7 +15,9 @@ from repro.core.builder import build_cbm, build_clustered
 from repro.graphs.datasets import load_dataset
 from repro.graphs.laplacian import gcn_normalization
 from repro.parallel.schedule import simulate_dynamic_schedule, update_stage_schedule
+from repro.runtime.plan import apply_level_schedule
 from repro.sparse.ops import Engine
+from repro.utils.timing import interleaved_best
 
 from conftest import write_report
 
@@ -31,10 +33,37 @@ def setup(rng):
     return a, cbm, x
 
 
-@pytest.mark.parametrize("update", ["level", "edge"])
-def test_update_mode(benchmark, setup, update):
+def _update_walks(cbm, x):
+    """The update stage alone, both ways, on one multiply-stage output:
+    ``plan.apply_update`` (the compiled walk) and ``apply_level_schedule``
+    (the NumPy level walk).  Each walk restores its own buffer first, so
+    every call walks the same input."""
+    plan = cbm.plan()
+    c0 = plan.multiply(x)
+    scale = plan.row_scale.astype(c0.dtype) if plan.row_scaled else None
+
+    def walk(update):
+        c = np.empty_like(c0)
+
+        def run():
+            np.copyto(c, c0)
+            update(c)
+            return c
+
+        return run
+
+    return {
+        "compiled": walk(plan.apply_update),
+        "numpy": walk(lambda c: apply_level_schedule(c, plan.level_pairs, row_scale=scale)),
+    }
+
+
+@pytest.mark.parametrize("walk", ["compiled", "numpy"])
+def test_update_mode(benchmark, setup, walk):
     _, cbm, x = setup
-    benchmark(lambda: cbm.matmul(x, update=update))
+    if walk == "compiled" and cbm.plan().describe()["update"] != "native":
+        pytest.skip("no C compiler: the compiled walk is unavailable")
+    benchmark(_update_walks(cbm, x)[walk])
 
 
 @pytest.mark.parametrize("scaling", ["deferred", "fused"])
@@ -244,8 +273,13 @@ def _smoke() -> None:
     a = load_dataset("Cora")
     cbm, _ = build_cbm(a, alpha=0)
     x = np.random.default_rng(0).random((a.shape[1], 8)).astype(np.float32)
-    for update in ("level", "edge"):
-        cbm.matmul(x, update=update)
+    walks = _update_walks(cbm, x)
+    best = interleaved_best(walks)
+    assert walks["compiled"]().tobytes() == walks["numpy"]().tobytes()
+    print(
+        f"update stage ({cbm.plan().describe()['update']}): "
+        f"compiled {1e3 * best['compiled']:.3f} ms, numpy {1e3 * best['numpy']:.3f} ms"
+    )
     for engine in (Engine.SCIPY,):
         cbm.matmul(x, engine=engine)
     update_stage_schedule(cbm.tree, 8, 4)

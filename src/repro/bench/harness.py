@@ -1,15 +1,17 @@
 """Timing protocol for kernel comparisons.
 
-The paper times each kernel 250 times and reports mean ± std.  On this
-container the same protocol is approximated with the adaptive
-:func:`repro.utils.timing.measure`; alongside wall-clock, every comparison
-carries deterministic scalar-operation counts, which are the quantity the
+The paper times each kernel 250 times and reports mean ± std.  Here one
+kernel is timed with the adaptive :func:`repro.utils.timing.measure`,
+and :func:`compare` times two round by round, so host drift lands on
+both alike.  Alongside wall-clock, every comparison carries
+deterministic scalar-operation counts, which are the quantity the
 paper's Properties 1–2 actually bound and which do not suffer from
-single-core noise.
+host noise.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,11 +81,31 @@ def compare(
     repeats: int = 10,
     min_total: float = 0.25,
 ) -> Comparison:
-    """Time two kernels back-to-back under the same protocol."""
-    b = time_kernel(
-        baseline_name, baseline_fn, scalar_ops=baseline_ops, repeats=repeats, min_total=min_total
+    """Time two kernels round by round under the same protocol.
+
+    Both run once untimed, then every round times each once, alternating
+    which goes first, until both have at least three samples and
+    ``min_total`` seconds, for at most ``repeats`` rounds.  Two
+    sequential passes would put host drift (±20% on a shared host) on
+    one side only.
+    """
+    if repeats < 3:
+        raise ValueError("need repeats >= 3")
+    fns = (baseline_fn, candidate_fn)
+    times = (MeasuredTime(), MeasuredTime())
+    totals = [0.0, 0.0]
+    for fn in fns:
+        fn()
+    for rounds in range(repeats):
+        if rounds >= 3 and min(totals) >= min_total:
+            break
+        for side in (0, 1) if rounds % 2 == 0 else (1, 0):
+            t0 = time.perf_counter()
+            fns[side]()
+            dt = time.perf_counter() - t0
+            times[side].samples.append(dt)
+            totals[side] += dt
+    return Comparison(
+        baseline=BenchResult(baseline_name, times[0], baseline_ops),
+        candidate=BenchResult(candidate_name, times[1], candidate_ops),
     )
-    c = time_kernel(
-        candidate_name, candidate_fn, scalar_ops=candidate_ops, repeats=repeats, min_total=min_total
-    )
-    return Comparison(baseline=b, candidate=c)

@@ -437,18 +437,16 @@ def cmd_check_plan(args) -> int:
         name, a = _load_graph(spec)
         cbm, _ = build_cbm(a, alpha=args.alpha)
         layout = BatchLayout.pack(widths, quantum=cfg.quantum, n_rows=cbm.shape[0])
-        for update in ("level", "edge"):
-            plan = cbm.plan(update=update)
-            reports.append(
-                analyze_plan(
-                    plan,
-                    threads=args.threads,
-                    p=args.columns,
-                    branch_timeout=args.branch_timeout,
-                    batch_layout=layout,
-                    subject=f"{name}(alpha={args.alpha},update={update})",
-                )
+        reports.append(
+            analyze_plan(
+                cbm.plan(),
+                threads=args.threads,
+                p=args.columns,
+                branch_timeout=args.branch_timeout,
+                batch_layout=layout,
+                subject=f"{name}(alpha={args.alpha})",
             )
+        )
     return _emit_check_reports(reports, args.json, args.verbose)
 
 
@@ -566,26 +564,20 @@ def cmd_check_concurrency(args) -> int:
     for spec in args.target:
         name, a = _load_graph(spec)
         cbm, _ = build_cbm(a, alpha=args.alpha)
-        for update in ("level", "edge"):
-            plan = cbm.plan(update=update)
-            fused = (
-                (FusedStage("row-scale", branch=0),) if plan.branches else ()
-            )
-            for threaded in (True, False):
-                mode = "threaded" if threaded else "sequential"
-                reports.append(
-                    analyze_ir(
-                        lower_kernel_plan(
-                            plan,
-                            threaded=threaded,
-                            fused=fused if threaded else (),
-                            subject=(
-                                f"{name}(alpha={args.alpha},"
-                                f"update={update},{mode})"
-                            ),
-                        )
+        plan = cbm.plan()
+        fused = (FusedStage("row-scale", branch=0),) if plan.branches else ()
+        for threaded in (True, False):
+            mode = "threaded" if threaded else "sequential"
+            reports.append(
+                analyze_ir(
+                    lower_kernel_plan(
+                        plan,
+                        threaded=threaded,
+                        fused=fused if threaded else (),
+                        subject=f"{name}(alpha={args.alpha},{mode})",
                     )
                 )
+            )
         layout = BatchLayout.pack(widths, quantum=cfg.quantum, n_rows=cbm.shape[0])
         reports.append(
             analyze_ir(

@@ -8,11 +8,13 @@ multiplies with dense operands per Sections IV–V of the paper:
    ``(AD)′ @ B``) on the shared high-performance backend.
 2. **Update stage** — propagate partial results down the compression tree.
    The paper performs one ``axpy`` per tree edge in topological order;
-   here edges are grouped by tree depth and each level is applied as one
-   vectorised batched row addition (parents of level-k rows live strictly
-   above level k, so a level is dependency-free).  The per-edge variant is
-   retained for the ablation benchmark, and the branch-parallel execution
-   of Section V-B lives in :mod:`repro.parallel`.
+   the planned path runs exactly that loop in C
+   (:mod:`repro.runtime.native`).  Without a compiler, and on the
+   per-call reference path, edges are grouped by tree depth and each
+   level is applied as one vectorised batched row addition (parents of
+   level-k rows live strictly above level k, so a level is
+   dependency-free).  The branch-parallel execution of Section V-B lives
+   in :mod:`repro.parallel`.
 
 For ``DADX`` two update modes exist: ``"fused"`` follows Eq. 6 literally
 (scale while updating), ``"deferred"`` accumulates unscaled partial sums
@@ -31,14 +33,13 @@ import numpy as np
 
 from repro.core import opcount
 from repro.core.deltas import reconstruct_rows, scale_delta_matrix
-from repro.core.tree import VIRTUAL, CompressionTree
+from repro.core.tree import CompressionTree
 from repro.errors import ShapeError
 from repro.runtime.plan import KernelPlan
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import Engine, spmm, spmv
 from repro.utils.validation import check_dense, ensure_array
 
-UpdateMode = Literal["level", "edge"]
 ScalingMode = Literal["deferred", "fused"]
 
 
@@ -161,12 +162,7 @@ class CBMMatrix:
         """Monotonic counter bumped by :meth:`invalidate`; plans snapshot it."""
         return self._plan_version
 
-    def plan(
-        self,
-        *,
-        update: UpdateMode = "level",
-        scaling: ScalingMode = "deferred",
-    ) -> KernelPlan:
+    def plan(self, *, scaling: ScalingMode = "deferred") -> KernelPlan:
         """The cached :class:`~repro.runtime.plan.KernelPlan` for this config.
 
         Built on first use and reused by every subsequent
@@ -174,12 +170,11 @@ class CBMMatrix:
         automatically when :meth:`invalidate` was called or the
         tree/delta/diagonal objects were replaced.
         """
-        key = (update, scaling)
         with self._plan_lock:
-            pl = self._plans.get(key)
+            pl = self._plans.get(scaling)
             if pl is None or not pl.matches(self):
-                pl = KernelPlan(self, update=update, scaling=scaling)
-                self._plans[key] = pl
+                pl = KernelPlan(self, scaling=scaling)
+                self._plans[scaling] = pl
             return pl
 
     def invalidate(self) -> None:
@@ -212,7 +207,6 @@ class CBMMatrix:
         self,
         b: np.ndarray,
         *,
-        update: UpdateMode = "level",
         scaling: ScalingMode = "deferred",
         engine: Engine | None = None,
         out: np.ndarray | None = None,
@@ -224,46 +218,43 @@ class CBMMatrix:
         must be C-contiguous, correctly shaped, and must not alias ``b``.
         :meth:`matmul_unplanned` is the per-call reference path.
         """
-        return self.plan(update=update, scaling=scaling).execute(b, out=out, engine=engine)
+        return self.plan(scaling=scaling).execute(b, out=out, engine=engine)
 
     def matmul_unplanned(
         self,
         b: np.ndarray,
         *,
-        update: UpdateMode = "level",
         scaling: ScalingMode = "deferred",
         engine: Engine | None = None,
     ) -> np.ndarray:
         """Reference per-call path: recompute the schedule on every product.
 
-        This is the pre-runtime behaviour — the level grouping (or the
-        topological order) is derived from the tree per call and the
-        diagonal is re-broadcast per call.  The test suite compares the
-        planned path against it; the runtime benchmark measures the gap.
+        This is the pre-runtime behaviour — the level grouping is taken
+        from the tree per call, the diagonal is re-broadcast per call, and
+        the update stage is the NumPy level walk.  The test suite compares
+        the planned path against it; the runtime benchmark measures the gap.
         """
         b = check_dense(b, name="b", ndim=2)
         if b.shape[0] != self.shape[1]:
             raise ShapeError.mismatch("CBM matmul", self.shape, b.shape)
         c = spmm(self._multiply_operand(), b, engine=engine)
-        self._apply_update(c, update=update, scaling=scaling)
+        self._update_levels(c, scaling)
         return c
 
     def matvec(
         self,
         v: np.ndarray,
         *,
-        update: UpdateMode = "level",
         scaling: ScalingMode = "deferred",
         engine: Engine | None = None,
     ) -> np.ndarray:
         """Dense product ``M @ v`` for a 1-D vector ``v`` (planned path)."""
-        return self.plan(update=update, scaling=scaling).execute_vec(v, engine=engine)
+        return self.plan(scaling=scaling).execute_vec(v, engine=engine)
 
     def matvec_unplanned(
         self,
         v: np.ndarray,
         *,
-        update: UpdateMode = "level",
         scaling: ScalingMode = "deferred",
         engine: Engine | None = None,
     ) -> np.ndarray:
@@ -280,34 +271,16 @@ class CBMMatrix:
         u = spmv(self._multiply_operand(), v, engine=engine)
         parent = self.tree.parent
         row_scaled = self.variant in (Variant.DAD, Variant.D1AD2)
-        if update == "level":
-            if row_scaled and scaling == "fused":
-                d = self._row_diag()
-                roots = self.tree.roots
-                u[roots] *= d[roots]
-                for lv in self.tree.levels():
-                    ps = parent[lv]
-                    u[lv] = d[lv] * (u[ps] / d[ps] + u[lv])
-                return u
+        if row_scaled and scaling == "fused":
+            d = self._row_diag()
+            roots = self.tree.roots
+            u[roots] *= d[roots]
             for lv in self.tree.levels():
-                u[lv] += u[parent[lv]]
-        elif update == "edge":
-            order = self.tree.topological_order()
-            if row_scaled and scaling == "fused":
-                d = self._row_diag()
-                for x in order:
-                    p = parent[x]
-                    if p == VIRTUAL:
-                        u[x] *= d[x]
-                    else:
-                        u[x] = d[x] * (u[p] / d[p] + u[x])
-                return u
-            for x in order:
-                p = parent[x]
-                if p != VIRTUAL:
-                    u[x] += u[p]
-        else:
-            raise ValueError(f"unknown update mode {update!r}")
+                ps = parent[lv]
+                u[lv] = d[lv] * (u[ps] / d[ps] + u[lv])
+            return u
+        for lv in self.tree.levels():
+            u[lv] += u[parent[lv]]
         if row_scaled:
             u *= np.asarray(self._row_diag())
         return u
@@ -319,15 +292,6 @@ class CBMMatrix:
         return self.matmul(b)
 
     # ------------------------------------------------------------------
-    def _apply_update(self, c: np.ndarray, *, update: UpdateMode, scaling: ScalingMode) -> None:
-        """Run the update stage in place on the multiplication-stage output."""
-        if update == "level":
-            self._update_levels(c, scaling)
-        elif update == "edge":
-            self._update_edges(c, scaling)
-        else:
-            raise ValueError(f"unknown update mode {update!r}")
-
     def _update_levels(self, c: np.ndarray, scaling: ScalingMode) -> None:
         """Vectorised level-schedule update, mutating ``c`` in place."""
         parent = self.tree.parent
@@ -342,28 +306,6 @@ class CBMMatrix:
             return
         for lv in self.tree.levels():
             c[lv] += c[parent[lv]]
-        if row_scaled:
-            c *= np.asarray(self._row_diag())[:, None]
-
-    def _update_edges(self, c: np.ndarray, scaling: ScalingMode) -> None:
-        """Paper-literal update, in place on ``c``: one axpy per tree edge
-        in topological order."""
-        parent = self.tree.parent
-        row_scaled = self.variant in (Variant.DAD, Variant.D1AD2)
-        order = self.tree.topological_order()
-        if row_scaled and scaling == "fused":
-            d = self._row_diag()
-            for x in order:
-                p = parent[x]
-                if p == VIRTUAL:
-                    c[x] *= d[x]
-                else:
-                    c[x] = d[x] * (c[p] / d[p] + c[x])
-            return
-        for x in order:
-            p = parent[x]
-            if p != VIRTUAL:
-                c[x] += c[p]
         if row_scaled:
             c *= np.asarray(self._row_diag())[:, None]
 

@@ -8,8 +8,9 @@ other row is stored as deltas against its parent.
 The tree owns a frozen copy of its parent array and computes, once while
 validating it, the orderings the multiplication kernels need:
 
-* :meth:`topological_order` — parents before children (update stage,
-  Section IV).
+* :meth:`topological_order` — parents before children; without the
+  roots, and with each row's parent, it is :meth:`edge_schedule`, the
+  update stage of Section IV.
 * :meth:`levels` / :meth:`level_pairs` — edges grouped by depth; within
   one level no child is another child's parent, which is what lets the
   update stage run as a handful of vectorised batched row additions
@@ -50,16 +51,20 @@ class _Schedule:
     it again; the branch decomposition is filled in on first use.
     """
 
-    __slots__ = ("depth", "order", "levels", "level_parents", "branches")
+    __slots__ = ("depth", "order", "edges", "edge_parents", "levels", "level_parents", "branches")
 
     def __init__(self, parent: np.ndarray, depth: np.ndarray):
         self.depth = _frozen(depth)
         self.order = _frozen(np.argsort(depth, kind="stable"))
-        # Level k is the run of depth-k rows in the depth-sorted order.
+        # The non-root rows follow the roots in the depth-sorted order,
+        # and level k is the run of depth-k rows among them.
         maxd = int(depth.max(initial=0))
         bounds = np.searchsorted(depth[self.order], np.arange(1, maxd + 2))
-        self.levels = [self.order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:], strict=True)]
-        self.level_parents = [_frozen(parent[lv]) for lv in self.levels]
+        self.edges = self.order[bounds[0]:]
+        self.edge_parents = _frozen(parent[self.edges])
+        spans = list(zip(bounds[:-1] - bounds[0], bounds[1:] - bounds[0], strict=True))
+        self.levels = [self.edges[lo:hi] for lo, hi in spans]
+        self.level_parents = [self.edge_parents[lo:hi] for lo, hi in spans]
         self.branches: list[np.ndarray] | None = None
 
 
@@ -183,6 +188,15 @@ class CompressionTree:
         level's parent rows, ``parent[children]``."""
         s = self._schedule
         return list(zip(s.levels, s.level_parents, strict=True))
+
+    def edge_schedule(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, parents)``: the non-root rows in topological order and
+        each one's parent — the paper's update stage, one axpy per pair.
+
+        :meth:`level_pairs` are slices of these two arrays.
+        """
+        s = self._schedule
+        return s.edges, s.edge_parents
 
     def branches(self) -> list[np.ndarray]:
         """Subtrees hanging off the virtual node, each in topological order.

@@ -174,7 +174,6 @@ class GuardedKernel:
         branch_timeout: float | None = None,
         deadline: float | None = None,
         executor_factory=None,
-        update: str = "level",
         scaling: str = "deferred",
         validate_inputs: bool = True,
         validate_outputs: bool = True,
@@ -188,14 +187,13 @@ class GuardedKernel:
         self.branch_timeout = branch_timeout
         self.deadline = deadline
         self.executor_factory = executor_factory
-        self.update = update
         self.scaling = scaling
         self.validate_inputs = validate_inputs
         self.validate_outputs = validate_outputs
         self.stats = stats if stats is not None else GuardStats()
         self.on_degrade = on_degrade
-        # Memoised plan for the serial path: the (update, scaling) pair
-        # is fixed per guard, and the lock + dict handling in
+        # Memoised plan for the serial path: the scaling mode is fixed
+        # per guard, and the lock + dict handling in
         # ``CBMMatrix.plan`` is measurable against the <5% overhead
         # budget.  The fingerprint check keeps ``CBMMatrix.invalidate``
         # honoured — a stale plan would serve its pre-mutation scaled
@@ -205,7 +203,7 @@ class GuardedKernel:
     def _get_plan(self):
         plan = self._plan
         if plan is None or not plan.matches(self.cbm):
-            plan = self._plan = self.cbm.plan(update=self.update, scaling=self.scaling)
+            plan = self._plan = self.cbm.plan(scaling=self.scaling)
         return plan
 
     # ------------------------------------------------------------------
@@ -360,7 +358,7 @@ class GuardedKernel:
         self._degrade(exc)
         c: np.ndarray | None = None
         try:
-            c = self.cbm.matmul_unplanned(b, update=self.update, scaling=self.scaling)
+            c = self.cbm.matmul_unplanned(b, scaling=self.scaling)
             if self.validate_outputs and not all_finite(c):
                 c = None
         except ReproError:
@@ -386,7 +384,7 @@ class GuardedKernel:
         self._degrade(exc)
         u: np.ndarray | None = None
         try:
-            u = self.cbm.matvec_unplanned(v, update=self.update, scaling=self.scaling)
+            u = self.cbm.matvec_unplanned(v, scaling=self.scaling)
             if self.validate_outputs and not all_finite(u):
                 u = None
         except ReproError:
@@ -445,7 +443,7 @@ class GuardedAdjacency:
         return self.guard.n
 
     def prepare(self, *, width: int | None = None, dtype=np.float32) -> None:
-        plan = self.guard.cbm.plan(update=self.guard.update, scaling=self.guard.scaling)
+        plan = self.guard.cbm.plan(scaling=self.guard.scaling)
         if width is not None:
             plan.pool.warm((self.n, int(width)), dtype, count=1)
 

@@ -6,8 +6,10 @@ multiplied against dense features every layer of every forward pass.  A
 :class:`KernelPlan` hoists everything ``CBMMatrix.matmul`` used to
 recompute per call into a one-time build:
 
-* the topological **level schedule** — per level, the (children, parents)
-  index pairs used by the vectorised update stage;
+* the tree's **edge schedule** — non-root rows in topological order
+  and their parents — bound to the compiled update stage
+  (:mod:`repro.runtime.native`), and the **level schedule**, the same
+  pairs grouped by depth, for the NumPy walk it falls back to;
 * the **branch decomposition** of Section V-B for the threaded executor
   and the dynamic-schedule simulator;
 * the **scaled delta CSR** for the chosen variant (A / AD / DAD / D1AD2)
@@ -35,8 +37,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.deltas import scale_delta_matrix
-from repro.core.tree import VIRTUAL
 from repro.errors import ShapeError
+from repro.runtime import native
 from repro.runtime.buffers import WorkspacePool
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import Engine, get_default_engine, spmm, spmv
@@ -66,9 +68,10 @@ def apply_level_schedule(
 ) -> None:
     """Level-schedule update stage + scaling, in place on ``c``.
 
-    The single definition of the vectorised tree walk, shared by both of
-    ``KernelPlan``'s update paths (the plain walk and the fused
-    per-level scaling recurrence).
+    The NumPy tree walk: ``KernelPlan`` runs it where the compiled walk
+    does not apply (no compiler, an unsupported dtype or layout, and the
+    fused per-level scaling recurrence), and the tests hold the compiled
+    walk to it bit for bit.
 
     ``fused_tables`` (with ``roots``/``root_scale``) selects the fused
     per-level scaling recurrence; otherwise plain accumulation runs,
@@ -127,19 +130,16 @@ def _fingerprint(cbm: "CBMMatrix") -> _Fingerprint:
 class KernelPlan:
     """Precomputed execution schedule for one CBM matrix and kernel config.
 
-    Build via ``CBMMatrix.plan(update=..., scaling=...)`` (cached) or
-    directly; the constructor snapshots everything it needs, so later
-    mutations of the source matrix do not corrupt the plan — they make
-    :meth:`matches` return False and the owner rebuild.
+    Build via ``CBMMatrix.plan(scaling=...)`` (cached) or directly; the
+    constructor snapshots everything it needs, so later mutations of the
+    source matrix do not corrupt the plan — they make :meth:`matches`
+    return False and the owner rebuild.
     """
 
-    def __init__(self, cbm: "CBMMatrix", *, update: str = "level", scaling: str = "deferred"):
-        if update not in ("level", "edge"):
-            raise ValueError(f"unknown update mode {update!r}")
+    def __init__(self, cbm: "CBMMatrix", *, scaling: str = "deferred"):
         if scaling not in ("deferred", "fused"):
             raise ValueError(f"unknown scaling mode {scaling!r}")
         t0 = time.perf_counter()
-        self.update = update
         self.scaling = scaling
         self.shape = cbm.shape
         self.variant = cbm.variant
@@ -166,17 +166,10 @@ class KernelPlan:
         self._sp_lock = threading.Lock()
 
         # --- update stage ---------------------------------------------
-        # Level schedule: (children, parents) per depth.  The tree
-        # computed it once when it was validated, and patched snapshots
-        # share it, so taking it costs O(levels).
+        # The tree computed both schedules once when it was validated,
+        # and patched snapshots share them, so taking them costs
+        # O(levels).  Level schedule: (children, parents) per depth.
         self.level_pairs: list[tuple[np.ndarray, np.ndarray]] = tree.level_pairs()
-        # Edge schedule (paper-literal ablation): rows in topological
-        # order; roots (virtual parent) are skipped up front.
-        if update == "edge":
-            order = tree.topological_order()
-            self.edge_order = order[self._parent[order] != VIRTUAL]
-        else:
-            self.edge_order = None
         self._tree = tree  # branches are derived lazily (see branches)
 
         # --- diagonal tables ------------------------------------------
@@ -184,7 +177,6 @@ class KernelPlan:
         self.roots: np.ndarray | None = None
         self.root_scale: np.ndarray | None = None
         self.fused_tables: list[tuple[np.ndarray, np.ndarray]] | None = None
-        self.edge_scale: tuple[np.ndarray, np.ndarray] | None = None
         if self.row_scaled:
             d = np.asarray(d, dtype=np.float64)
             if scaling == "fused":
@@ -194,12 +186,17 @@ class KernelPlan:
                 self.fused_tables = [
                     (d[lv], d[lv] / d[ps]) for lv, ps in self.level_pairs
                 ]
-                if update == "edge":
-                    eo = self.edge_order
-                    self.edge_scale = (d[eo], d[eo] / d[self._parent[eo]])
             else:
                 self.row_scale = d
         self._row_scale_cast: dict[str, np.ndarray] = {}
+        # The compiled per-edge walk over the tree's edge schedule; None
+        # without a compiler, and for the fused recurrence, which only
+        # the NumPy walk runs.
+        self._walk = (
+            None
+            if self.fused_tables is not None
+            else native.walker(tree)
+        )
         self.stats.build_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------
@@ -208,6 +205,12 @@ class KernelPlan:
         """Branch decomposition (Section V-B), computed once per tree
         schedule and shared by every plan over it."""
         return self._tree.branches()
+
+    @property
+    def update_path(self) -> str:
+        """``"native"`` when the update stage runs the compiled walk,
+        ``"numpy"`` when it runs the level walk."""
+        return "numpy" if self._walk is None else "native"
 
     @property
     def levels(self) -> int:
@@ -297,11 +300,12 @@ class KernelPlan:
 
     # ------------------------------------------------------------------
     def apply_update(self, c: np.ndarray) -> None:
-        """Update stage + scaling, in place, from the precomputed schedule."""
-        if self.update == "edge":
-            expand = (slice(None), None) if c.ndim == 2 else ()
-            self._apply_update_edges(c, expand)
-        elif self.row_scaled and self.scaling == "fused":
+        """Update stage + scaling, in place, from the precomputed schedule.
+
+        Runs the compiled walk when the plan has one and it takes ``c``,
+        else the NumPy level walk; the two give the same bits.
+        """
+        if self.fused_tables is not None:
             apply_level_schedule(
                 c,
                 self.level_pairs,
@@ -309,26 +313,10 @@ class KernelPlan:
                 root_scale=self.root_scale,
                 fused_tables=self.fused_tables,
             )
-        else:
-            apply_level_schedule(
-                c,
-                self.level_pairs,
-                row_scale=self._cast_row_scale(c.dtype) if self.row_scaled else None,
-            )
-
-    def _apply_update_edges(self, c: np.ndarray, expand) -> None:
-        """Edge-schedule update + scaling, in place on ``c``."""
-        parent = self._parent
-        if self.row_scaled and self.scaling == "fused":
-            d_x, d_ratio = self.edge_scale
-            c[self.roots] *= self.root_scale[expand]
-            for i, x in enumerate(self.edge_order):
-                c[x] = d_x[i] * c[x] + d_ratio[i] * c[parent[x]]
             return
-        for x in self.edge_order:
-            c[x] += c[parent[x]]
-        if self.row_scaled:
-            c *= self._cast_row_scale(c.dtype)[expand]
+        row_scale = self._cast_row_scale(c.dtype) if self.row_scaled else None
+        if self._walk is None or not self._walk(c, row_scale):
+            apply_level_schedule(c, self.level_pairs, row_scale=row_scale)
 
     # ------------------------------------------------------------------
     def execute(
@@ -409,7 +397,7 @@ class KernelPlan:
         """Plan summary used by the CLI and benchmark reports."""
         return {
             "variant": self.variant.value,
-            "update": self.update,
+            "update": self.update_path,
             "scaling": self.scaling,
             "rows": self.shape[0],
             "cols": self.shape[1],
@@ -425,7 +413,7 @@ class KernelPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"KernelPlan(variant={self.variant.value}, update={self.update}, "
+            f"KernelPlan(variant={self.variant.value}, update_path={self.update_path}, "
             f"scaling={self.scaling}, levels={self.levels}, "
             f"executions={self.stats.executions})"
         )

@@ -117,9 +117,9 @@ def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """In-place BLAS-1 update ``y += alpha * x``; returns ``y``.
 
     The CBM update stage is a sequence of these per compression-tree edge
-    (Section V-A of the paper); the level-vectorised variant used by
-    :mod:`repro.core.cbm` batches them, but this scalar form remains the
-    reference and is exercised by the per-edge ablation.
+    (Section V-A of the paper), which :mod:`repro.runtime.native` runs in
+    C and the NumPy level walk batches per tree depth; this scalar form
+    remains the reference.
     """
     x = np.asarray(x)
     if x.shape != y.shape:

@@ -509,7 +509,7 @@ def analyze_plan(
     """
     from repro.staticcheck.ir import analyze_ir, lower_kernel_plan
 
-    name = subject if subject is not None else f"plan({plan.variant.value},{plan.update})"
+    name = subject if subject is not None else f"plan({plan.variant.value},{plan.update_path})"
     report = AuditReport(subject=name)
     report.merge(analyze_branches(plan.branches, plan._parent, subject=name))
     report.merge(

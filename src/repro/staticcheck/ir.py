@@ -383,7 +383,7 @@ def lower_kernel_plan(
     fusion pass exists.
     """
     n_rows = int(plan.shape[0])
-    name = subject or f"plan-ir({plan.update})"
+    name = subject or f"plan-ir({plan.update_path})"
     ir = PlanIR(subject=name)
     ir.add_buffer(Buffer("c", size=n_rows, unit="row"))
     ir.add_buffer(Buffer("b", size=n_rows, unit="row"))

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.runtime import native
 from repro.serving import InferenceService
 from repro.sparse.convert import from_dense
 from repro.sparse.csr import CSRMatrix
@@ -34,6 +35,16 @@ def random_binary_csr(n: int, density: float = 0.2, seed: int = 0) -> CSRMatrix:
 
 def random_adjacency_csr(n: int, density: float = 0.2, seed: int = 0) -> CSRMatrix:
     return from_dense(random_adjacency_dense(n, density, seed))
+
+
+def pin_update_path(monkeypatch, update: str) -> None:
+    """Make plans built after this call run one update-stage walk:
+    ``"edge"`` the compiled per-edge walk, ``"level"`` the NumPy level
+    walk it falls back to."""
+    if update == "level":
+        monkeypatch.setattr(native, "load", lambda: None)
+    elif native.load() is None:
+        pytest.skip("no C compiler: the compiled walk is unavailable")
 
 
 @pytest.fixture

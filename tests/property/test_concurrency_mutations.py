@@ -40,7 +40,7 @@ from tests.conftest import random_adjacency_csr
 def _kernel_plan():
     a = random_adjacency_csr(100, density=0.15, seed=3)
     cbm, _ = build_cbm(a, alpha=2)
-    return cbm.plan(update="level")
+    return cbm.plan()
 
 
 def _batch_ir():

@@ -79,7 +79,7 @@ class TestKernelCorrectness:
         x = np.random.default_rng(seed).random((d.shape[0], p)).astype(np.float32)
         ref = d.astype(np.float64) @ x
         assert np.allclose(cbm.matmul(x), ref, rtol=1e-3, atol=1e-4)
-        assert np.allclose(cbm.matmul(x, update="edge"), ref, rtol=1e-3, atol=1e-4)
+        assert np.allclose(cbm.matmul_unplanned(x), ref, rtol=1e-3, atol=1e-4)
 
     @given(binary_matrices(max_n=10), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

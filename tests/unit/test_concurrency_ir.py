@@ -189,7 +189,7 @@ class TestHappensBefore:
 def cbm_plan():
     a = random_adjacency_csr(120, density=0.12, seed=5)
     cbm, _ = build_cbm(a, alpha=2)
-    return cbm.plan(update="level")
+    return cbm.plan()
 
 
 class TestKernelPlanLowering:

@@ -11,7 +11,7 @@ from repro.core.mst import kruskal_mst
 from repro.errors import ShapeError
 from repro.sparse.ops import Engine
 
-from tests.conftest import random_adjacency_csr
+from tests.conftest import pin_update_path, random_adjacency_csr
 
 
 def build(seed=0, n=30, density=0.3, alpha=0, variant="A", diag=None):
@@ -55,10 +55,11 @@ class TestMatmulA:
         assert np.allclose(cbm.matmul(x), a.toarray() @ x, rtol=1e-4)
 
     @pytest.mark.parametrize("update", ["level", "edge"])
-    def test_update_modes_agree(self, update):
+    def test_update_modes_agree(self, monkeypatch, update):
+        pin_update_path(monkeypatch, update)
         a, cbm = build(seed=5)
         x = np.random.default_rng(1).random((30, 5)).astype(np.float32)
-        assert np.allclose(cbm.matmul(x, update=update), a.toarray() @ x, rtol=1e-4)
+        assert np.allclose(cbm.matmul(x), a.toarray() @ x, rtol=1e-4)
 
     def test_reference_engine(self):
         a, cbm = build(seed=6)
@@ -83,11 +84,6 @@ class TestMatmulA:
         with pytest.raises(ShapeError):
             cbm.matvec(np.ones(7, dtype=np.float32))
 
-    def test_unknown_update_mode(self):
-        _, cbm = build(seed=10)
-        with pytest.raises(ValueError):
-            cbm.matmul(np.ones((30, 2), dtype=np.float32), update="magic")
-
 
 class TestScaledVariants:
     def test_ad_matches_dense(self):
@@ -100,13 +96,14 @@ class TestScaledVariants:
 
     @pytest.mark.parametrize("scaling", ["deferred", "fused"])
     @pytest.mark.parametrize("update", ["level", "edge"])
-    def test_dad_matches_dense(self, scaling, update):
+    def test_dad_matches_dense(self, monkeypatch, scaling, update):
+        pin_update_path(monkeypatch, update)
         rng = np.random.default_rng(6)
         d = rng.random(30) + 0.5
         a, cbm = build(seed=12, variant="DAD", diag=d)
         x = rng.random((30, 6)).astype(np.float32)
         ref = (d[:, None] * a.toarray() * d) @ x
-        assert np.allclose(cbm.matmul(x, scaling=scaling, update=update), ref, rtol=1e-4)
+        assert np.allclose(cbm.matmul(x, scaling=scaling), ref, rtol=1e-4)
 
     def test_negative_diag_supported(self):
         rng = np.random.default_rng(7)

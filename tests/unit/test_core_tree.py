@@ -75,7 +75,7 @@ class TestFrozenSchedule:
         t = CompressionTree(parent=np.array([VIRTUAL, 0, 1, 0, VIRTUAL, 4]))
         with pytest.raises(ValueError):
             t.parent[1] = VIRTUAL
-        arrays = [t.topological_order(), *t.levels(), *t.branches()]
+        arrays = [t.topological_order(), *t.levels(), *t.branches(), *t.edge_schedule()]
         arrays += [ps for _, ps in t.level_pairs()]
         for arr in arrays:
             with pytest.raises(ValueError):
@@ -98,6 +98,18 @@ class TestFrozenSchedule:
             assert lv is level
             assert np.array_equal(ps, parent[lv])
 
+    def test_edge_schedule_is_the_root_free_order_and_holds_the_levels(self):
+        parent = np.array([VIRTUAL, 0, 0, 1, 2, VIRTUAL, 5])
+        t = CompressionTree(parent=parent)
+        rows, parents = t.edge_schedule()
+        order = t.topological_order()
+        assert np.array_equal(rows, order[parent[order] != VIRTUAL])
+        assert np.array_equal(parents, parent[rows])
+        assert np.array_equal(np.concatenate(t.levels()), rows)
+        for lv, ps in t.level_pairs():  # views: the walk and the audit read one array
+            assert np.shares_memory(lv, rows) and np.shares_memory(ps, parents)
+        assert [len(a) for a in CompressionTree(parent=[VIRTUAL] * 3).edge_schedule()] == [0, 0]
+
     def test_reweighted_shares_parent_and_schedule(self, monkeypatch):
         t = chain_tree(5)
         t.branches()  # computed lazily, then shared too
@@ -111,6 +123,8 @@ class TestFrozenSchedule:
         assert r.parent is t.parent
         assert np.array_equal(r.weight, w) and np.all(t.weight == 1)
         assert r.topological_order() is t.topological_order()
+        for a, b in zip(r.edge_schedule(), t.edge_schedule(), strict=True):
+            assert a is b
         for (a, pa), (b, pb) in zip(r.level_pairs(), t.level_pairs(), strict=True):
             assert a is b and pa is pb
         for a, b in zip(r.branches(), t.branches(), strict=True):

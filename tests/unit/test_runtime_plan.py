@@ -2,8 +2,9 @@
 
 The planned path must be bit-compatible with the per-call reference path
 (``matmul_unplanned`` / ``matvec_unplanned``) across every variant,
-update mode, scaling mode, and engine; plans must invalidate when the
-owning matrix changes; and one plan must be shareable across threads.
+update walk (compiled per-edge or NumPy level), scaling mode, and
+engine; plans must invalidate when the owning matrix changes; and one
+plan must be shareable across threads.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from repro.errors import ShapeError
 from repro.parallel.cache import plan_working_set
 from repro.parallel.executor import ThreadedUpdateExecutor, parallel_matmul
 from repro.parallel.schedule import plan_update_schedule
-from repro.runtime import KernelPlan, WorkspacePool
+from repro.runtime import KernelPlan, WorkspacePool, native
 from repro.runtime.plan import apply_level_schedule
 from repro.sparse.ops import Engine
 
-from tests.conftest import random_adjacency_csr
+from tests.conftest import pin_update_path, random_adjacency_csr
 
 N = 40
 
@@ -51,11 +52,12 @@ class TestPlannedMatchesUnplanned:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("update", ["level", "edge"])
     @pytest.mark.parametrize("scaling", ["deferred", "fused"])
-    def test_matmul_equality(self, variant, update, scaling):
+    def test_matmul_equality(self, monkeypatch, variant, update, scaling):
+        pin_update_path(monkeypatch, update)
         cbm = _make_cbm(variant)
         x = _operand(N)
-        planned = cbm.matmul(x, update=update, scaling=scaling)
-        reference = cbm.matmul_unplanned(x, update=update, scaling=scaling)
+        planned = cbm.matmul(x, scaling=scaling)
+        reference = cbm.matmul_unplanned(x, scaling=scaling)
         np.testing.assert_allclose(planned, reference, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -115,13 +117,18 @@ class TestLevelWalk:
             if tree.parent[x] != VIRTUAL:
                 edge[x] += edge[tree.parent[x]]
         assert np.array_equal(walked, edge)
+        walk = native.walker(tree)
+        if walk is not None:
+            compiled = c0.copy()
+            assert walk(compiled)
+            assert compiled.tobytes() == edge.tobytes()
 
 
 class TestPlanCache:
     def test_plan_is_cached_per_config(self):
         cbm = _make_cbm("A")
         assert cbm.plan() is cbm.plan()
-        assert cbm.plan(update="edge") is not cbm.plan(update="level")
+        assert cbm.plan(scaling="fused") is not cbm.plan()
 
     def test_matmul_populates_the_cache(self):
         cbm = _make_cbm("A")
@@ -163,8 +170,6 @@ class TestPlanCache:
 
     def test_invalid_modes_rejected(self):
         cbm = _make_cbm("A")
-        with pytest.raises(ValueError):
-            KernelPlan(cbm, update="magic")
         with pytest.raises(ValueError):
             KernelPlan(cbm, scaling="sideways")
 

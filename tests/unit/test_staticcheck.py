@@ -234,10 +234,8 @@ class TestRealPlansAreRaceFree:
     def test_plans_clean(self, seed, alpha):
         a = random_adjacency_csr(48, density=0.2, seed=seed)
         cbm, _ = build_cbm(a, alpha=alpha)
-        for update in ("level", "edge"):
-            plan = cbm.plan(update=update)
-            rep = analyze_plan(plan, threads=4, branch_timeout=10.0)
-            assert rep.ok, rep.render()
+        rep = analyze_plan(cbm.plan(), threads=4, branch_timeout=10.0)
+        assert rep.ok, rep.render()
 
     @pytest.mark.parametrize("threads", [1, 2, 4, 16])
     def test_every_plan_update_schedule_race_free(self, threads):
