@@ -11,7 +11,7 @@ Measurement strategy (see DESIGN.md):
   stand-in graphs (both sides run on the same compiled backend);
 * 16-core numbers come from the calibrated machine model
   (:mod:`repro.parallel.simulate`) extrapolated to paper-scale graphs —
-  this single-core container cannot run 16 threads;
+  the 2-core VM these tables are measured on cannot run 16 threads;
 * compression ratios and scalar-operation counts are exact.
 """
 

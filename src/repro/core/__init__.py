@@ -19,7 +19,7 @@ from repro.core.builder import BuildReport, build_cbm, build_clustered
 from repro.core.cbm import CBMMatrix, Variant
 from repro.core.distance import DistanceGraph, brute_force_distance_graph, candidate_edges
 from repro.core.io import load_cbm, save_cbm
-from repro.core.mst import kruskal_mst, prim_mst
+from repro.core.mst import kruskal_mst
 from repro.core.opcount import (
     OpCount,
     cbm_memory_bytes,
@@ -51,7 +51,6 @@ __all__ = [
     "CompressionTree",
     "VIRTUAL",
     "kruskal_mst",
-    "prim_mst",
     "minimum_arborescence",
     "OpCount",
     "cbm_memory_bytes",

@@ -2,25 +2,25 @@
 
 The paper's compression tree for the un-pruned (symmetric) distance graph
 is any MST of the graph extended with the virtual node, rooted at the
-virtual node.  Two from-scratch implementations are provided:
-
-* :func:`kruskal_mst` — sort + union-find, O(E log E).  The production
-  choice: edge sorting is vectorised and the union-find loop touches each
-  candidate edge once.
-* :func:`prim_mst` — lazy heap Prim, O(E log V).  Kept as an independent
-  oracle; the test suite asserts both produce trees of identical weight.
+virtual node.  :func:`kruskal_mst` fixes Kruskal's edge order with one
+NumPy sort, then hands the graph to SciPy's compiled
+``csgraph.minimum_spanning_tree`` and orients the result with
+``csgraph.breadth_first_order`` from the virtual node.
 
 Ties are broken in favour of virtual-node edges, implementing the paper's
 "engineered to ignore" rule (Section IV): a compression opportunity whose
 delta count equals the row's nnz is worthless, so the row is stored as a
 plain adjacency list, which also shortens update-stage dependency chains.
+
+:class:`UnionFind` serves the Björklund–Lingas ablation
+(:mod:`repro.core.bl2001`).
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.core.distance import DistanceGraph
 from repro.core.tree import VIRTUAL, CompressionTree
@@ -55,111 +55,51 @@ class UnionFind:
         return True
 
 
-def _orient_from_virtual(n: int, chosen: list[tuple[int, int]], row_nnz, weights) -> CompressionTree:
-    """Orient an undirected spanning tree away from the virtual node.
-
-    ``chosen`` holds undirected (u, v) pairs with node id ``n`` standing
-    for the virtual node.  Returns the parent array plus per-row delta
-    counts.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for (u, v), w in zip(chosen, weights, strict=True):
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    parent = np.full(n, VIRTUAL, dtype=np.int64)
-    wout = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(n + 1, dtype=bool)
-    stack = [n]
-    visited[n] = True
-    while stack:
-        u = stack.pop()
-        for v, w in adj[u]:
-            if visited[v]:
-                continue
-            visited[v] = True
-            parent[v] = VIRTUAL if u == n else u
-            wout[v] = row_nnz[v] if u == n else w
-            stack.append(v)
-    if not visited[:n].all():
-        raise CompressionError("spanning tree does not reach every row")
-    return CompressionTree(parent=parent, weight=wout)
-
-
 def kruskal_mst(g: DistanceGraph) -> CompressionTree:
-    """MST of the virtual-node-extended distance graph via Kruskal.
+    """MST of the virtual-node-extended distance graph, in Kruskal's order.
 
     ``g`` must be undirected (``alpha=None`` construction).  Virtual edges
-    (weight ``nnz(x)``) are implicit in ``g`` and added here.
+    (weight ``nnz(x)``) are implicit in ``g`` and added here.  Edges are
+    ranked by weight, virtual before real on a tie, then by position;
+    each edge's 1-based rank is its weight for SciPy (a zero would be
+    dropped as "no edge").  Distinct weights make the MST unique, so it
+    is exactly the edge set a union-find pass in rank order would keep.
     """
     if g.directed:
         raise CompressionError("kruskal_mst requires an undirected distance graph")
     n = g.n
-    vsrc = np.full(n, n, dtype=np.int64)
-    vdst = np.arange(n, dtype=np.int64)
-    src = np.concatenate([g.src, vsrc])
-    dst = np.concatenate([g.dst, vdst])
+    src = np.concatenate([g.src, np.full(n, n, dtype=np.int64)])
+    dst = np.concatenate([g.dst, np.arange(n, dtype=np.int64)])
     w = np.concatenate([g.weight, g.row_nnz]).astype(np.int64)
     # Secondary key 0 for virtual edges, 1 for real ones: ties go virtual.
     is_real = np.concatenate(
         [np.ones(g.num_edges, dtype=np.int8), np.zeros(n, dtype=np.int8)]
     )
     order = np.lexsort((is_real, w))
-    uf = UnionFind(n + 1)
-    chosen: list[tuple[int, int]] = []
-    wts: list[int] = []
-    for k in order:
-        u, v = int(src[k]), int(dst[k])
-        if uf.union(u, v):
-            chosen.append((u, v))
-            wts.append(int(w[k]))
-            if len(chosen) == n:
-                break
-    if len(chosen) != n:
-        raise CompressionError(
-            f"Kruskal selected {len(chosen)} edges, expected {n}"
-        )
-    return _orient_from_virtual(n, chosen, g.row_nnz, wts)
-
-
-def prim_mst(g: DistanceGraph) -> CompressionTree:
-    """MST via lazy-deletion heap Prim started at the virtual node.
-
-    Independent oracle for :func:`kruskal_mst`; identical tie-breaking
-    toward virtual edges (they enter the heap first at equal weight and
-    heapq is stable on insertion order via the counter)."""
-    if g.directed:
-        raise CompressionError("prim_mst requires an undirected distance graph")
-    n = g.n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for s, d, w in zip(g.src, g.dst, g.weight, strict=True):
-        adj[int(s)].append((int(d), int(w)))
-        adj[int(d)].append((int(s), int(w)))
-    for x in range(n):
-        adj[n].append((x, int(g.row_nnz[x])))
-
-    parent = np.full(n, VIRTUAL, dtype=np.int64)
-    wout = np.zeros(n, dtype=np.int64)
-    in_tree = np.zeros(n + 1, dtype=bool)
-    in_tree[n] = True
-    heap: list[tuple[int, int, int, int]] = []
-    counter = 0
-    for v, w in adj[n]:
-        heap.append((w, counter, n, v))
-        counter += 1
-    heapq.heapify(heap)
-    taken = 0
-    while heap and taken < n:
-        w, _, u, v = heapq.heappop(heap)
-        if in_tree[v]:
-            continue
-        in_tree[v] = True
-        parent[v] = VIRTUAL if u == n else u
-        wout[v] = w
-        taken += 1
-        for nxt, nw in adj[v]:
-            if not in_tree[nxt]:
-                counter += 1
-                heapq.heappush(heap, (nw, counter, v, nxt))
-    if taken != n:
-        raise CompressionError(f"Prim reached {taken} of {n} rows")
-    return CompressionTree(parent=parent, weight=wout)
+    rank = np.empty(len(order), dtype=np.float64)
+    rank[order] = np.arange(1, len(order) + 1)
+    # One stored entry per edge, in row ``dst``: parallel edges stay
+    # separate entries (a COO build would sum their ranks).  ``dst`` is
+    # two sorted runs for candidate_edges output, which a stable sort
+    # merges in linear time.
+    by_row = np.argsort(dst, kind="stable")
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n + 1), out=indptr[1:])
+    graph = sp.csr_array((rank[by_row], src[by_row], indptr), shape=(n + 1, n + 1))
+    tree = csgraph.minimum_spanning_tree(graph)
+    if tree.nnz != n:
+        raise CompressionError(f"Kruskal selected {tree.nnz} edges, expected {n}")
+    chosen = order[tree.data.astype(np.int64) - 1]
+    reached, pred = csgraph.breadth_first_order(
+        tree, n, directed=False, return_predecessors=True
+    )
+    if len(reached) != n + 1:
+        raise CompressionError("spanning tree does not reach every row")
+    parent = pred[:n].astype(np.int64)
+    parent[parent == n] = VIRTUAL
+    # Each tree edge belongs to the endpoint whose predecessor is the other.
+    s, d = src[chosen], dst[chosen]
+    child = np.where(pred[d] == s, d, s)
+    weight = np.zeros(n, dtype=np.int64)
+    weight[child] = w[chosen]
+    return CompressionTree(parent=parent, weight=weight)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import ShapeError
 from repro.sparse.coo import COOMatrix
@@ -44,18 +45,19 @@ def add_self_loops(a: CSRMatrix) -> CSRMatrix:
     """Return ``A + I`` with existing self-loops left at 1 (binary result).
 
     This is the ``(A + I)`` of the GCN normalisation; the paper notes that
-    for an unweighted graph it is again a binary matrix.
+    for an unweighted graph it is again a binary matrix.  Every stored
+    entry of ``a`` counts, whatever its value (a stored zero or a weight
+    becomes 1): SciPy's compiled sparse add merges the 0/1 pattern of
+    ``a`` with the identity, and the result holds ones in ``a``'s dtype.
     """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"add_self_loops requires a square matrix, got {a.shape}")
-    coo = a.tocoo()
-    rows = np.concatenate([coo.rows, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([coo.cols, np.arange(n, dtype=np.int64)])
-    vals = np.ones(len(rows), dtype=a.data.dtype)
-    out = COOMatrix(rows, cols, vals, (n, n)).tocsr()
-    out.data.fill(1)
-    return out
+    pattern = sp.csr_array((np.ones(a.nnz, dtype=np.int8), a.indices, a.indptr), shape=a.shape)
+    merged = pattern + sp.eye_array(n, dtype=np.int8, format="csr")
+    return CSRMatrix(
+        merged.indptr, merged.indices, np.ones(merged.nnz, dtype=a.data.dtype), a.shape, check=False
+    )
 
 
 def is_symmetric(a: CSRMatrix) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import FormatError, NotBinaryError, ShapeError
 from repro.utils.validation import ensure_array
@@ -109,16 +110,15 @@ class CSRMatrix:
         return COOMatrix(rows, self.indices.copy(), self.data.copy(), self.shape)
 
     def tocsc(self) -> "CSCMatrix":
+        """Column-major copy via SciPy's compiled CSR → CSC pass (O(nnz)).
+
+        Row indices come out sorted within each column and the values keep
+        their dtype.
+        """
         from repro.sparse.csc import CSCMatrix
 
-        coo = self.tocoo()
-        order = np.lexsort((coo.rows, coo.cols))
-        rows, cols, data = coo.rows[order], coo.cols[order], coo.data[order]
-        m = self.shape[1]
-        counts = np.bincount(cols, minlength=m)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CSCMatrix(indptr, rows, data, self.shape, check=False)
+        csc = sp.csr_array((self.data, self.indices, self.indptr), shape=self.shape).tocsc()
+        return CSCMatrix(csc.indptr, csc.indices, csc.data, self.shape, check=False)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
@@ -127,7 +127,7 @@ class CSRMatrix:
         return out
 
     def transpose(self) -> "CSRMatrix":
-        """Transpose via CSC reinterpretation (O(nnz))."""
+        """Transpose by reading the CSC form as the CSR form of ``selfᵀ`` (O(nnz))."""
         csc = self.tocsc()
         return CSRMatrix(
             csc.indptr, csc.indices, csc.data, (self.shape[1], self.shape[0]), check=False

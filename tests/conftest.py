@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core.distance import DistanceGraph
+from repro.core.tree import VIRTUAL, CompressionTree
+from repro.errors import CompressionError
 from repro.runtime import native
 from repro.serving import InferenceService
 from repro.sparse.convert import from_dense
@@ -35,6 +39,51 @@ def random_binary_csr(n: int, density: float = 0.2, seed: int = 0) -> CSRMatrix:
 
 def random_adjacency_csr(n: int, density: float = 0.2, seed: int = 0) -> CSRMatrix:
     return from_dense(random_adjacency_dense(n, density, seed))
+
+
+def prim_mst(g: DistanceGraph) -> CompressionTree:
+    """MST via lazy-deletion heap Prim started at the virtual node.
+
+    Independent weight oracle for :func:`repro.core.mst.kruskal_mst`;
+    identical tie-breaking toward virtual edges (they enter the heap first
+    at equal weight and heapq is stable on insertion order via the
+    counter)."""
+    if g.directed:
+        raise CompressionError("prim_mst requires an undirected distance graph")
+    n = g.n
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for s, d, w in zip(g.src, g.dst, g.weight, strict=True):
+        adj[int(s)].append((int(d), int(w)))
+        adj[int(d)].append((int(s), int(w)))
+    for x in range(n):
+        adj[n].append((x, int(g.row_nnz[x])))
+
+    parent = np.full(n, VIRTUAL, dtype=np.int64)
+    wout = np.zeros(n, dtype=np.int64)
+    in_tree = np.zeros(n + 1, dtype=bool)
+    in_tree[n] = True
+    heap: list[tuple[int, int, int, int]] = []
+    counter = 0
+    for v, w in adj[n]:
+        heap.append((w, counter, n, v))
+        counter += 1
+    heapq.heapify(heap)
+    taken = 0
+    while heap and taken < n:
+        w, _, u, v = heapq.heappop(heap)
+        if in_tree[v]:
+            continue
+        in_tree[v] = True
+        parent[v] = VIRTUAL if u == n else u
+        wout[v] = w
+        taken += 1
+        for nxt, nw in adj[v]:
+            if not in_tree[nxt]:
+                counter += 1
+                heapq.heappush(heap, (nw, counter, v, nxt))
+    if taken != n:
+        raise CompressionError(f"Prim reached {taken} of {n} rows")
+    return CompressionTree(parent=parent, weight=wout)
 
 
 def pin_update_path(monkeypatch, update: str) -> None:

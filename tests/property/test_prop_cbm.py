@@ -9,9 +9,11 @@ from hypothesis.extra.numpy import arrays
 from repro.core.arborescence import minimum_arborescence
 from repro.core.builder import build_cbm, build_clustered
 from repro.core.distance import candidate_edges
-from repro.core.mst import kruskal_mst, prim_mst
+from repro.core.mst import kruskal_mst
 from repro.core.opcount import csr_spmm_ops
 from repro.sparse.convert import from_dense
+
+from tests.conftest import prim_mst
 
 
 @st.composite

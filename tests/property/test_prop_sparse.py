@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.graphs.adjacency import add_self_loops
 from repro.sparse.convert import from_dense
 from repro.sparse.coo import COOMatrix
+from repro.sparse.csc import CSCMatrix
+from repro.sparse.csr import CSRMatrix
 
 
 @st.composite
@@ -41,6 +44,82 @@ def coo_triplets(draw, max_dim=10, max_nnz=30):
         )
     )
     return rows, cols, np.asarray(vals, dtype=np.float32), (n, m)
+
+
+@st.composite
+def stored_csr(draw, square=False, max_dim=9):
+    """CSR matrices holding arbitrary small values, stored zeros included.
+
+    Rows and columns may be empty and nnz may be 0; the values are
+    float32, float64, int32 or int64.  Square draws store none, some or
+    all of the diagonal.
+    """
+    n = draw(st.integers(0, max_dim))
+    m = n if square else draw(st.integers(0, max_dim))
+    mask = draw(arrays(np.bool_, (n, m)))
+    if square:
+        diagonal = draw(st.sampled_from(["none", "some", "all"]))
+        if diagonal != "some":
+            np.fill_diagonal(mask, diagonal == "all")
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int32, np.int64]))
+    rows, cols = np.nonzero(mask)
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    return CSRMatrix(indptr, cols, np.asarray(values, dtype=dtype), (n, m))
+
+
+def reference_tocsc(a: CSRMatrix) -> CSCMatrix:
+    """CSR → CSC by one lexsort of the COO triplets (column, then row)."""
+    coo = a.tocoo()
+    order = np.lexsort((coo.rows, coo.cols))
+    rows, cols, data = coo.rows[order], coo.cols[order], coo.data[order]
+    m = a.shape[1]
+    counts = np.bincount(cols, minlength=m)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return CSCMatrix(indptr, rows, data, a.shape, check=False)
+
+
+def reference_add_self_loops(a: CSRMatrix) -> CSRMatrix:
+    """``A + I`` by summing COO duplicates, then resetting every value to 1."""
+    n = a.shape[0]
+    coo = a.tocoo()
+    rows = np.concatenate([coo.rows, np.arange(n, dtype=np.int64)])
+    cols = np.concatenate([coo.cols, np.arange(n, dtype=np.int64)])
+    vals = np.ones(len(rows), dtype=a.data.dtype)
+    out = COOMatrix(rows, cols, vals, (n, n)).tocsr()
+    out.data.fill(1)
+    return out
+
+
+def _assert_same_arrays(ours, ref) -> None:
+    assert ours.shape == ref.shape
+    for field in ("indptr", "indices", "data"):
+        mine, theirs = getattr(ours, field), getattr(ref, field)
+        assert mine.dtype == theirs.dtype, field
+        assert np.array_equal(mine, theirs), field
+
+
+class TestCompiledPathsMatchReference:
+    """SciPy's compiled conversions give the bytes of the NumPy definitions."""
+
+    @given(stored_csr())
+    @settings(max_examples=150, deadline=None)
+    def test_tocsc(self, a):
+        _assert_same_arrays(a.tocsc(), reference_tocsc(a))
+
+    @given(stored_csr())
+    @settings(max_examples=150, deadline=None)
+    def test_transpose(self, a):
+        csc = reference_tocsc(a)
+        ref = CSRMatrix(csc.indptr, csc.indices, csc.data, a.shape[::-1], check=False)
+        _assert_same_arrays(a.transpose(), ref)
+
+    @given(stored_csr(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_add_self_loops(self, a):
+        _assert_same_arrays(add_self_loops(a), reference_add_self_loops(a))
 
 
 class TestRoundTrips:

@@ -1,18 +1,28 @@
 """Unit tests for the MST and arborescence constructions."""
 
+import dataclasses
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import arrays
+
+from repro.core import builder
 from repro.core.arborescence import minimum_arborescence
+from repro.core.builder import build_cbm
+from repro.core.cbm import Variant
 from repro.core.distance import DistanceGraph, candidate_edges
-from repro.core.mst import UnionFind, kruskal_mst, prim_mst
+from repro.core.mst import UnionFind, kruskal_mst
 from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import CompressionError
+from repro.graphs.datasets import load_dataset
+from repro.graphs.laplacian import gcn_normalization
+from repro.sparse.convert import from_dense
 
-from tests.conftest import random_adjacency_csr, random_binary_csr
+from tests.conftest import prim_mst, random_adjacency_csr, random_binary_csr
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +207,73 @@ def reference_minimum_arborescence(g: DistanceGraph) -> CompressionTree:
     return CompressionTree(parent=parent, weight=weight)
 
 
+def _ref_orient_from_virtual(n: int, chosen: list[tuple[int, int]], row_nnz, weights) -> CompressionTree:
+    """Orient an undirected spanning tree away from the virtual node.
+
+    ``chosen`` holds undirected (u, v) pairs with node id ``n`` standing
+    for the virtual node.  Returns the parent array plus per-row delta
+    counts.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (u, v), w in zip(chosen, weights, strict=True):
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    parent = np.full(n, VIRTUAL, dtype=np.int64)
+    wout = np.zeros(n, dtype=np.int64)
+    visited = np.zeros(n + 1, dtype=bool)
+    stack = [n]
+    visited[n] = True
+    while stack:
+        u = stack.pop()
+        for v, w in adj[u]:
+            if visited[v]:
+                continue
+            visited[v] = True
+            parent[v] = VIRTUAL if u == n else u
+            wout[v] = row_nnz[v] if u == n else w
+            stack.append(v)
+    if not visited[:n].all():
+        raise CompressionError("spanning tree does not reach every row")
+    return CompressionTree(parent=parent, weight=wout)
+
+
+def reference_kruskal_mst(g: DistanceGraph) -> CompressionTree:
+    """Union-find Kruskal over one lexsort of the real and virtual edges.
+
+    The compiled :func:`kruskal_mst` must match bit for bit: edges are
+    taken in weight order, virtual before real on a tie, then by position,
+    and the spanning tree is oriented away from the virtual node.
+    """
+    if g.directed:
+        raise CompressionError("kruskal_mst requires an undirected distance graph")
+    n = g.n
+    vsrc = np.full(n, n, dtype=np.int64)
+    vdst = np.arange(n, dtype=np.int64)
+    src = np.concatenate([g.src, vsrc])
+    dst = np.concatenate([g.dst, vdst])
+    w = np.concatenate([g.weight, g.row_nnz]).astype(np.int64)
+    # Secondary key 0 for virtual edges, 1 for real ones: ties go virtual.
+    is_real = np.concatenate(
+        [np.ones(g.num_edges, dtype=np.int8), np.zeros(n, dtype=np.int8)]
+    )
+    order = np.lexsort((is_real, w))
+    uf = UnionFind(n + 1)
+    chosen: list[tuple[int, int]] = []
+    wts: list[int] = []
+    for k in order:
+        u, v = int(src[k]), int(dst[k])
+        if uf.union(u, v):
+            chosen.append((u, v))
+            wts.append(int(w[k]))
+            if len(chosen) == n:
+                break
+    if len(chosen) != n:
+        raise CompressionError(
+            f"Kruskal selected {len(chosen)} edges, expected {n}"
+        )
+    return _ref_orient_from_virtual(n, chosen, g.row_nnz, wts)
+
+
 class TestUnionFind:
     def test_initially_disjoint(self):
         uf = UnionFind(4)
@@ -262,8 +339,6 @@ class TestMST:
         assert tree.depth().max() < 20
 
     def test_empty_graph_all_virtual(self):
-        from repro.sparse.convert import from_dense
-
         a = from_dense(np.zeros((5, 5), dtype=np.float32))
         tree = kruskal_mst(candidate_edges(a, None))
         assert np.all(tree.parent == VIRTUAL)
@@ -321,8 +396,6 @@ class TestArborescence:
     def test_forced_cycle_contraction(self):
         """Two nearly identical rows prefer each other; contraction must
         resolve the 2-cycle through the virtual node."""
-        from repro.sparse.convert import from_dense
-
         d = np.zeros((4, 8), dtype=np.float32)
         d[0, :6] = 1
         d[1, :6] = 1
@@ -390,11 +463,57 @@ class TestArborescenceMatchesReference:
 
     def test_bitwise_equal_on_many_round_registry_graph(self):
         """ca-HepPh at alpha=4 needs 156 contraction rounds."""
-        from repro.graphs.datasets import load_dataset
-
         g = candidate_edges(load_dataset("ca-HepPh"), 4)
         _assert_same_tree(minimum_arborescence(g), reference_minimum_arborescence(g))
 
     def test_empty_graph(self):
         g = candidate_edges(random_binary_csr(0, seed=0), 1)
         _assert_same_tree(minimum_arborescence(g), reference_minimum_arborescence(g))
+
+
+@st.composite
+def tie_heavy_matrices(draw, max_n=14):
+    """Binary matrices whose rows' Hamming distances collide.
+
+    At most four columns make equal weights the rule.  Rows are drawn
+    from a small pool that always holds the empty row, so duplicate and
+    empty rows are common; shapes are rectangular and n may be 0 or 1.
+    """
+    n = draw(st.integers(0, max_n))
+    m = draw(st.integers(1, 4))
+    rows = arrays(np.float32, m, elements=st.sampled_from([0.0, 1.0]))
+    pool = [np.zeros(m, dtype=np.float32), *draw(st.lists(rows, min_size=1, max_size=4))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return from_dense(np.asarray([pool[i] for i in picks], dtype=np.float32).reshape(n, m))
+
+
+class TestKruskalMatchesReference:
+    @given(tie_heavy_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_on_tie_heavy_matrices(self, a):
+        g = candidate_edges(a, None)
+        _assert_same_tree(kruskal_mst(g), reference_kruskal_mst(g))
+
+    @given(tie_heavy_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_with_parallel_edges(self, g):
+        """Edge lists with repeated and reversed pairs and zero weights."""
+        g = dataclasses.replace(g, directed=False, alpha=None)
+        _assert_same_tree(kruskal_mst(g), reference_kruskal_mst(g))
+
+    @pytest.mark.parametrize("variant", ["A", "DAD"])
+    @pytest.mark.parametrize("name", ["Cora", "PubMed", "ca-HepPh"])
+    def test_alpha0_build_matches_reference_build(self, name, variant, monkeypatch):
+        a = load_dataset(name)
+        kwargs = {}
+        if variant == "DAD":
+            a, d = gcn_normalization(a)
+            kwargs = {"variant": Variant.DAD, "diag": d}
+        ours, _ = build_cbm(a, alpha=0, **kwargs)
+        monkeypatch.setattr(builder, "kruskal_mst", reference_kruskal_mst)
+        ref, _ = build_cbm(a, alpha=0, **kwargs)
+        _assert_same_tree(ours.tree, ref.tree)
+        for array in ("indptr", "indices", "data"):
+            mine, theirs = getattr(ours.delta, array), getattr(ref.delta, array)
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
