@@ -2,19 +2,26 @@
 
 * the paper's per-edge update loop, compiled, vs the NumPy level walk
   it falls back to without a compiler;
+* the compiled Chu–Liu/Edmonds rounds vs the NumPy rounds they fall
+  back to, on COLLAB's DAD matrix at alpha=4 (what gcn-collab builds);
 * deferred vs fused DAD scaling (our reformulation vs the paper's Eq. 6);
 * SciPy-backed vs pure-NumPy reference multiplication engine;
 * global vs clustered construction (the paper's future-work scaling idea);
 * dynamic branch scheduling vs a level-barrier schedule (simulated).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core.arborescence import minimum_arborescence
 from repro.core.builder import build_cbm, build_clustered
+from repro.core.distance import candidate_edges
 from repro.graphs.datasets import load_dataset
 from repro.graphs.laplacian import gcn_normalization
 from repro.parallel.schedule import simulate_dynamic_schedule, update_stage_schedule
+from repro.runtime import native
 from repro.runtime.plan import apply_level_schedule
 from repro.sparse.ops import Engine
 from repro.utils.timing import interleaved_best
@@ -64,6 +71,27 @@ def test_update_mode(benchmark, setup, walk):
     if walk == "compiled" and cbm.plan().describe()["update"] != "native":
         pytest.skip("no C compiler: the compiled walk is unavailable")
     benchmark(_update_walks(cbm, x)[walk])
+
+
+def _arborescence_rounds():
+    """The alpha > 0 spanning stage alone, both ways, on COLLAB's DAD
+    matrix at alpha=4: ``minimum_arborescence`` with the compiled library
+    and with the library unavailable, which runs the NumPy rounds."""
+    binary, _ = gcn_normalization(load_dataset("COLLAB"))
+    g = candidate_edges(binary, 4)
+
+    def numpy_rounds():
+        with mock.patch.object(native, "load", lambda: None):
+            return minimum_arborescence(g)
+
+    return {"compiled": lambda: minimum_arborescence(g), "numpy": numpy_rounds}
+
+
+@pytest.mark.parametrize("rounds", ["compiled", "numpy"])
+def test_arborescence_rounds(benchmark, rounds):
+    if rounds == "compiled" and native.load() is None:
+        pytest.skip("no C compiler: the compiled rounds are unavailable")
+    benchmark(_arborescence_rounds()[rounds])
 
 
 @pytest.mark.parametrize("scaling", ["deferred", "fused"])
@@ -280,6 +308,18 @@ def _smoke() -> None:
         f"update stage ({cbm.plan().describe()['update']}): "
         f"compiled {1e3 * best['compiled']:.3f} ms, numpy {1e3 * best['numpy']:.3f} ms"
     )
+    if native.load() is None:
+        print("arborescence rounds: no C compiler, race skipped")
+    else:
+        rounds = _arborescence_rounds()
+        best = interleaved_best(rounds)
+        compiled, numpy_tree = rounds["compiled"](), rounds["numpy"]()
+        assert compiled.parent.tobytes() == numpy_tree.parent.tobytes()
+        assert compiled.weight.tobytes() == numpy_tree.weight.tobytes()
+        print(
+            f"arborescence rounds (COLLAB DAD alpha=4): "
+            f"compiled {1e3 * best['compiled']:.1f} ms, numpy {1e3 * best['numpy']:.1f} ms"
+        )
     for engine in (Engine.SCIPY,):
         cbm.matmul(x, engine=engine)
     update_stage_schedule(cbm.tree, 8, 4)

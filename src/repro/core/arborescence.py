@@ -5,8 +5,7 @@ directed, so the compression tree is a minimum-cost arborescence rooted at
 the virtual node.  This module implements Chu–Liu/Edmonds from scratch
 with full parent recovery:
 
-1.  Every non-root node picks its cheapest incoming edge: one lexsort of
-    all edges by (destination, weight, edge id).
+1.  Every non-root node picks its cheapest incoming edge.
 2.  If the picked edges are acyclic they form the arborescence.
 3.  Otherwise every cycle is contracted into a supernode, entering-edge
     weights are reduced by the cycle edge they displace, and the loop
@@ -21,11 +20,22 @@ new cycle runs through one of them, so the cycle search starts from them
 alone.  A supernode's incoming edges are its members' incoming edges from
 outside the cycle, and of the edges from one source only the one the pick
 rule prefers is kept: parallel edges receive the same weight reductions
-in every later round, so no other can ever be picked.  One round thus
-costs a sort of the new supernodes' incoming edges, O(n) vectorised
-relabelling and a Python walk from each new supernode — not a sort of the
-whole edge set.  Rounds are not few: at alpha=4 COLLAB takes 74 (75 with
-the self-loops of GCN normalisation) and ogbn-proteins takes 240.
+in every later round, so no other can ever be picked.  Rounds are not
+few: at alpha=4 COLLAB takes 74 (75 with the self-loops of GCN
+normalisation) and ogbn-proteins takes 240.
+
+The rounds run compiled (``runtime/arborescence.c``, loaded by
+:mod:`repro.runtime.native` into the library that also holds the update
+stage), one pass over the entries each round gathers: a union-find maps
+sources to live nodes, a per-source slot keeps the best entry, and each
+in-list keeps only its pick at its head.  The order of the rest is never
+read, since a contraction keeps the lowest (weight, id) entry per source
+wherever it sits.  Without a compiler, or on input the C code does not
+take (an index out of range, a self-loop, a negative weight), the same
+rounds run as NumPy passes: one lexsort of all edges by (destination,
+weight, edge id) sorts every in-list, and a round costs a sort of the new
+supernodes' incoming edges, O(n) vectorised relabelling and a Python walk
+from each new supernode.  Both give the same tree.
 
 Ties are broken by the lowest weight, then toward virtual-node edges, then
 by the lowest edge id, in every round.  Virtual edges are numbered before
@@ -45,6 +55,7 @@ import numpy as np
 from repro.core.distance import DistanceGraph
 from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import CompressionError
+from repro.runtime import native
 
 # Rows of the in-list pool: the original edge id of an entry, its weight
 # reduced to the round its owner was contracted in, the node whose in-list
@@ -93,10 +104,54 @@ def minimum_arborescence(g: DistanceGraph) -> CompressionTree:
     root = n
     # Original edges: root -> x for every row x, then the real ones.  An
     # edge's id is its position here, so the tie rule is (weight, id).
-    src0 = np.concatenate([np.full(n, root), e_src]).astype(np.int64)
-    dst0 = np.concatenate([np.arange(n), e_dst]).astype(np.int64)
-    w0 = np.concatenate([g.row_nnz, e_w]).astype(np.int64)
+    src0 = np.concatenate([np.full(n, root), e_src]).astype(np.int64, copy=False)
+    dst0 = np.concatenate([np.arange(n), e_dst]).astype(np.int64, copy=False)
+    w0 = np.concatenate([g.row_nnz, e_w]).astype(np.int64, copy=False)
 
+    e = _compiled_rounds(n, src0, dst0, w0)
+    if e is None:
+        e = _numpy_rounds(n, src0, dst0, w0)
+    if not np.array_equal(dst0[e], np.arange(n)):
+        raise CompressionError("expansion: a row received an edge entering another row")
+    parent = np.where(src0[e] == root, VIRTUAL, src0[e])
+    return CompressionTree(parent=parent, weight=w0[e])
+
+
+def _compiled_rounds(
+    n: int, src0: np.ndarray, dst0: np.ndarray, w0: np.ndarray
+) -> np.ndarray | None:
+    """Each row's chosen edge id from the compiled rounds; None when the
+    library is unavailable or the input is one the C code does not take.
+
+    Taken: equal lengths, real edges with ``0 <= src, dst < n`` and
+    ``src != dst``, and no negative weight.
+    """
+    lib = native.load()
+    if lib is None or not len(src0) == len(dst0) == len(w0):
+        return None
+    real_src, real_dst = src0[n:], dst0[n:]
+    if len(real_src) and (
+        min(real_src.min(), real_dst.min()) < 0
+        or max(real_src.max(), real_dst.max()) >= n
+        or np.any(real_src == real_dst)
+    ):
+        return None
+    if len(w0) and w0.min() < 0:
+        return None
+    picked = np.empty(n, dtype=np.int64)
+    status = lib.cbm_arborescence(
+        n, len(src0), src0.ctypes.data, dst0.ctypes.data, w0.ctypes.data, picked.ctypes.data
+    )
+    if status == native.ARBORESCENCE_NOMEM:
+        raise MemoryError(f"arborescence of {n} rows and {len(src0)} edges")
+    if status != 0:
+        raise CompressionError("arborescence failed to converge")
+    return picked
+
+
+def _numpy_rounds(n: int, src0: np.ndarray, dst0: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """Each row's chosen edge id, from the rounds run as NumPy passes."""
+    root = n
     # Node ids: rows 0..n-1, the root n, then supernodes in creation order.
     # Each contraction retires at least one more node than it creates, so
     # there are at most n supernodes.
@@ -181,8 +236,4 @@ def minimum_arborescence(g: DistanceGraph) -> CompressionTree:
         s = into[owner_super]
         into[members] = np.where(pool[_OWNER, s] == members, pool[_FROM, s], lo[members])
 
-    e = pool[_EID, into[:n]]
-    if not np.array_equal(dst0[e], np.arange(n)):
-        raise CompressionError("expansion: a row received an edge entering another row")
-    parent = np.where(src0[e] == root, VIRTUAL, src0[e])
-    return CompressionTree(parent=parent, weight=w0[e])
+    return pool[_EID, into[:n]]

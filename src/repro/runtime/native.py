@@ -1,19 +1,23 @@
-"""The compiled update stage: :file:`walk.c` built on first use and
-called through :mod:`ctypes`.
+"""The compiled kernels: :file:`walk.c` (the update stage) and
+:file:`arborescence.c` (the Chu–Liu/Edmonds rounds of alpha > 0
+construction), built into one library on first use and called through
+:mod:`ctypes`.
 
-:func:`load` compiles the C source with the resident ``cc`` into a
+:func:`load` compiles the C sources with the resident ``cc`` into a
 per-user cache (``${XDG_CACHE_HOME:-~/.cache}/repro``, or a private
-temp directory when that is unwritable) and loads it, once per process.
-The library's file name hashes the source, the flags and
+temp directory when that is unwritable) and loads the library, once per
+process.  Its file name hashes every source, the flags and
 ``cc --version``, so a later process only loads it, and an edited source
 or a different compiler builds a new file.  Concurrent builders each
 compile into their own temp file and ``os.replace`` it into place, so no
 reader sees a partial library and no lock is held across the compiler.
 
 When the build or the load fails (no compiler, a compile error, an
-unusable cache), :func:`load` warns once and returns None, and plans run
-the NumPy level walk instead.  ``KernelPlan.describe()["update"]`` says
-which one a plan runs.
+unusable cache, a missing symbol), :func:`load` warns once and returns
+None: plans run the NumPy level walk and
+:func:`repro.core.arborescence.minimum_arborescence` its NumPy rounds,
+both with the same bits.  ``KernelPlan.describe()["update"]`` says which
+walk a plan runs.
 """
 
 from __future__ import annotations
@@ -40,13 +44,13 @@ CC = "cc"
 # targets where FMA is baseline (aarch64, for one), which would round
 # differently from NumPy.
 FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
-SOURCE = "walk.c"
+SOURCES = ("walk.c", "arborescence.c")
 _COMPILE_TIMEOUT_S = 120.0
-_SYMBOLS = {
+_WALKS = {
     np.dtype(np.float32): "cbm_walk_f32",
     np.dtype(np.float64): "cbm_walk_f64",
 }
-_ARGTYPES = [
+_WALK_ARGTYPES = [
     ctypes.c_void_p,  # c
     ctypes.c_int64,  # row stride, in elements
     ctypes.c_int64,  # width
@@ -56,11 +60,34 @@ _ARGTYPES = [
     ctypes.c_void_p,  # row scale, or NULL
     ctypes.c_int64,  # n rows
 ]
+# cbm_arborescence's status codes besides 0 (see arborescence.c).
+ARBORESCENCE_NOMEM = -1
+ARBORESCENCE_DIVERGED = -2
+# Every symbol the library must export: name -> (argtypes, restype).
+_SIGNATURES = {
+    **{name: (_WALK_ARGTYPES, None) for name in _WALKS.values()},
+    "cbm_arborescence": (
+        [
+            ctypes.c_int64,  # n rows
+            ctypes.c_int64,  # edges, the n virtual ones first
+            ctypes.c_void_p,  # sources
+            ctypes.c_void_p,  # destinations
+            ctypes.c_void_p,  # weights
+            ctypes.c_void_p,  # out: each row's chosen edge id
+        ],
+        ctypes.c_int64,
+    ),
+}
 
 
 def source() -> bytes:
-    """The C source, read as package data (installed copies included)."""
-    return resources.files(__package__).joinpath(SOURCE).read_bytes()
+    """The C sources, read as package data (installed copies included)
+    and joined into one translation unit; a ``#line`` marker before each
+    makes compiler messages name its file."""
+    files = resources.files(__package__)
+    return b"".join(
+        b'#line 1 "%s"\n' % name.encode() + files.joinpath(name).read_bytes() for name in SOURCES
+    )
 
 
 def cache_dir() -> Path | None:
@@ -76,8 +103,9 @@ def cache_dir() -> Path | None:
 
 
 def build(directory: Path) -> Path:
-    """Compile :file:`walk.c` into ``directory`` unless a build of the
-    same source, flags and compiler is already there; return its path.
+    """Compile the C sources into one library in ``directory`` unless a
+    build of the same sources, flags and compiler is already there;
+    return its path.
 
     Raises :class:`OSError` or :class:`subprocess.SubprocessError` when
     there is no compiler or the compile fails.
@@ -87,7 +115,7 @@ def build(directory: Path) -> Path:
         [CC, "--version"], capture_output=True, check=True, timeout=_COMPILE_TIMEOUT_S
     ).stdout
     key = hashlib.sha256(b"\0".join([src, " ".join(FLAGS).encode(), version])).hexdigest()
-    target = Path(directory) / f"walk-{key[:16]}.so"
+    target = Path(directory) / f"native-{key[:16]}.so"
     if target.exists():
         return target
     fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=directory)
@@ -109,17 +137,17 @@ def build(directory: Path) -> Path:
 
 def _open(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
-    for name in _SYMBOLS.values():
+    for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(lib, name)
-        fn.argtypes = _ARGTYPES
-        fn.restype = None
+        fn.argtypes = argtypes
+        fn.restype = restype
     return lib
 
 
 @functools.cache
 def load() -> ctypes.CDLL | None:
-    """The compiled walk library, built on first use; None (after one
-    warning) when it cannot be built or loaded."""
+    """The compiled library, built on first use; None (after one
+    warning) when it cannot be built or loaded with every symbol."""
     try:
         directory = cache_dir()
         if directory is not None:
@@ -130,7 +158,8 @@ def load() -> ctypes.CDLL | None:
             return _open(build(Path(tmp)))
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         warnings.warn(
-            f"compiled update stage unavailable ({exc}); plans use the NumPy level walk",
+            f"compiled kernels unavailable ({exc}); plans use the NumPy level walk "
+            "and arborescences the NumPy rounds",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -155,7 +184,7 @@ class NativeWalk:
         self._rows = np.ascontiguousarray(rows, dtype=np.int64)
         self._parents = np.ascontiguousarray(parents, dtype=np.int64)
         self._n = tree.n
-        self._fns = {dt: getattr(lib, name) for dt, name in _SYMBOLS.items()}
+        self._fns = {dt: getattr(lib, name) for dt, name in _WALKS.items()}
         self._schedule = (self._rows.ctypes.data, self._parents.ctypes.data, len(self._rows))
 
     def __call__(self, c: np.ndarray, scale: np.ndarray | None = None) -> bool:

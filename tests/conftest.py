@@ -89,7 +89,8 @@ def prim_mst(g: DistanceGraph) -> CompressionTree:
 def pin_update_path(monkeypatch, update: str) -> None:
     """Make plans built after this call run one update-stage walk:
     ``"edge"`` the compiled per-edge walk, ``"level"`` the NumPy level
-    walk it falls back to."""
+    walk it falls back to (``"level"`` hides the whole library, so alpha
+    > 0 builds after the call run the NumPy arborescence rounds too)."""
     if update == "level":
         monkeypatch.setattr(native, "load", lambda: None)
     elif native.load() is None:

@@ -20,6 +20,7 @@ from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import CompressionError
 from repro.graphs.datasets import load_dataset
 from repro.graphs.laplacian import gcn_normalization
+from repro.runtime import native
 from repro.sparse.convert import from_dense
 
 from tests.conftest import prim_mst, random_adjacency_csr, random_binary_csr
@@ -456,6 +457,8 @@ def _assert_same_tree(ours: CompressionTree, ref: CompressionTree) -> None:
 
 
 class TestArborescenceMatchesReference:
+    """The default path: the compiled rounds whenever the library loads."""
+
     @given(tie_heavy_graphs())
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_on_tie_heavy_graphs(self, g):
@@ -468,6 +471,22 @@ class TestArborescenceMatchesReference:
 
     def test_empty_graph(self):
         g = candidate_edges(random_binary_csr(0, seed=0), 1)
+        _assert_same_tree(minimum_arborescence(g), reference_minimum_arborescence(g))
+
+
+class TestNumpyRoundsMatchReference(TestArborescenceMatchesReference):
+    """The same checks on the NumPy rounds, the path without a compiler."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def numpy_rounds(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "load", lambda: None)
+            yield
+
+    # Hypothesis refuses to run one test function from two classes.
+    @given(tie_heavy_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_on_tie_heavy_graphs(self, g):
         _assert_same_tree(minimum_arborescence(g), reference_minimum_arborescence(g))
 
 

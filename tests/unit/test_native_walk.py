@@ -1,9 +1,10 @@
-"""The compiled update stage's loader and its fallback.
+"""The compiled library's loader and the update stage's fallback.
 
 The walk itself is held to the NumPy level walk by
-``tests/property/test_prop_native_walk.py``; these tests cover how the
-library is found, built, cached and refused, and that every refusal
-lands on the NumPy walk with the same answer.
+``tests/property/test_prop_native_walk.py``, and the arborescence rounds
+to the NumPy rounds by ``tests/unit/test_native_arborescence.py``; these
+tests cover how the library is found, built, cached and refused, and
+that every refusal lands on the NumPy walk with the same answer.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class TestLoader:
         assert not errors
         assert all(lib is not None and _walks_like_numpy(lib) for lib in libs)
         built = sorted(p.name for p in (tmp_path / "repro").iterdir())
-        assert len(built) == 1 and fnmatch.fnmatch(built[0], "walk-*.so")
+        assert len(built) == 1 and fnmatch.fnmatch(built[0], "native-*.so")
 
     def test_unwritable_cache_builds_in_a_temp_dir(self, monkeypatch, tmp_path, fresh_loader):
         blocker = tmp_path / "not-a-dir"
@@ -137,14 +138,29 @@ class TestLoader:
         assert first.stat().st_mtime_ns == mtime
 
     def test_source_ships_as_package_data(self):
-        src = resources.files("repro.runtime").joinpath(native.SOURCE)
-        assert src.is_file()
-        assert src.read_bytes() == native.source()
-        assert b"cbm_walk_f32" in native.source() and b"cbm_walk_f64" in native.source()
+        for name in native.SOURCES:
+            src = resources.files("repro.runtime").joinpath(name)
+            assert src.is_file()
+            assert src.read_bytes() in native.source()
+        for symbol in (b"cbm_walk_f32", b"cbm_walk_f64", b"cbm_arborescence"):
+            assert symbol in native.source()
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
         package_data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]
-        assert any(fnmatch.fnmatch(native.SOURCE, pat) for pat in package_data["repro.runtime"])
+        for name in native.SOURCES:
+            assert any(fnmatch.fnmatch(name, pat) for pat in package_data["repro.runtime"])
+
+    def test_library_missing_a_symbol_is_refused(
+        self, monkeypatch, tmp_path, compiled, fresh_loader
+    ):
+        """A library without every symbol does not load at all, so no
+        caller binds half of it."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "SOURCES", ("walk.c",))
+        with pytest.warns(RuntimeWarning, match="cbm_arborescence") as caught:
+            assert native.load() is None
+        assert len(caught) == 1
+        assert native.load() is None
 
 
 def _refused_layouts(n):
