@@ -2,6 +2,8 @@
 
 * the paper's per-edge update loop, compiled, vs the NumPy level walk
   it falls back to without a compiler;
+* the compiled candidate stage vs SciPy's ``A @ Aᵀ`` path it falls back
+  to, on COLLAB's DAD matrix at alpha=0 and alpha=4;
 * the compiled Chu–Liu/Edmonds rounds vs the NumPy rounds they fall
   back to, on COLLAB's DAD matrix at alpha=4 (what gcn-collab builds);
 * deferred vs fused DAD scaling (our reformulation vs the paper's Eq. 6);
@@ -15,6 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.core import distance
 from repro.core.arborescence import minimum_arborescence
 from repro.core.builder import build_cbm, build_clustered
 from repro.core.distance import candidate_edges
@@ -71,6 +74,25 @@ def test_update_mode(benchmark, setup, walk):
     if walk == "compiled" and cbm.plan().describe()["update"] != "native":
         pytest.skip("no C compiler: the compiled walk is unavailable")
     benchmark(_update_walks(cbm, x)[walk])
+
+
+def _candidate_stages(alpha):
+    """The candidate stage alone, both ways, on COLLAB's DAD matrix:
+    ``candidate_edges`` with the compiled library and the SciPy path it
+    falls back to.  ``alpha=0`` builds ask for the undirected graph."""
+    binary, _ = gcn_normalization(load_dataset("COLLAB"))
+    alpha = None if alpha == 0 else alpha
+    return {
+        "compiled": lambda: candidate_edges(binary, alpha),
+        "scipy": lambda: distance._scipy_candidates(binary, alpha),
+    }
+
+
+@pytest.mark.parametrize("stage", ["compiled", "scipy"])
+def test_candidate_stage(benchmark, stage):
+    if stage == "compiled" and native.load() is None:
+        pytest.skip("no C compiler: the compiled candidate stage is unavailable")
+    benchmark(_candidate_stages(4)[stage])
 
 
 def _arborescence_rounds():
@@ -309,8 +331,18 @@ def _smoke() -> None:
         f"compiled {1e3 * best['compiled']:.3f} ms, numpy {1e3 * best['numpy']:.3f} ms"
     )
     if native.load() is None:
-        print("arborescence rounds: no C compiler, race skipped")
+        print("candidate stage and arborescence rounds: no C compiler, races skipped")
     else:
+        for alpha in (0, 4):
+            stages = _candidate_stages(alpha)
+            best = interleaved_best(stages)
+            compiled, scipy_graph = stages["compiled"](), stages["scipy"]()
+            for array in ("src", "dst", "weight", "row_nnz"):
+                assert getattr(compiled, array).tobytes() == getattr(scipy_graph, array).tobytes()
+            print(
+                f"candidate stage (COLLAB DAD alpha={alpha}, {compiled.num_edges} edges): "
+                f"compiled {1e3 * best['compiled']:.1f} ms, scipy {1e3 * best['scipy']:.1f} ms"
+            )
         rounds = _arborescence_rounds()
         best = interleaved_best(rounds)
         compiled, numpy_tree = rounds["compiled"](), rounds["numpy"]()

@@ -93,7 +93,10 @@ def minimum_arborescence(g: DistanceGraph) -> CompressionTree:
     Accepts directed *or* undirected distance graphs (an undirected graph
     is expanded to both orientations first — on symmetric weights the
     result has the same cost as the MST, a property the test suite pins).
+    A malformed graph raises :class:`CompressionError`
+    (:meth:`DistanceGraph.validate`).
     """
+    g.validate()
     n = g.n
     if g.directed:
         e_src, e_dst, e_w = g.src, g.dst, g.weight

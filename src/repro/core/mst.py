@@ -64,7 +64,10 @@ def kruskal_mst(g: DistanceGraph) -> CompressionTree:
     each edge's 1-based rank is its weight for SciPy (a zero would be
     dropped as "no edge").  Distinct weights make the MST unique, so it
     is exactly the edge set a union-find pass in rank order would keep.
+    A malformed graph raises :class:`CompressionError`
+    (:meth:`DistanceGraph.validate`).
     """
+    g.validate()
     if g.directed:
         raise CompressionError("kruskal_mst requires an undirected distance graph")
     n = g.n

@@ -1,4 +1,5 @@
-"""The compiled kernels: :file:`walk.c` (the update stage) and
+"""The compiled kernels: :file:`walk.c` (the update stage),
+:file:`candidates.c` (the candidate stage of construction) and
 :file:`arborescence.c` (the Chu–Liu/Edmonds rounds of alpha > 0
 construction), built into one library on first use and called through
 :mod:`ctypes`.
@@ -14,9 +15,10 @@ reader sees a partial library and no lock is held across the compiler.
 
 When the build or the load fails (no compiler, a compile error, an
 unusable cache, a missing symbol), :func:`load` warns once and returns
-None: plans run the NumPy level walk and
+None: plans run the NumPy level walk,
+:func:`repro.core.distance.candidate_edges` SciPy's ``A @ Aᵀ`` and
 :func:`repro.core.arborescence.minimum_arborescence` its NumPy rounds,
-both with the same bits.  ``KernelPlan.describe()["update"]`` says which
+all with the same bits.  ``KernelPlan.describe()["update"]`` says which
 walk a plan runs.
 """
 
@@ -44,7 +46,7 @@ CC = "cc"
 # targets where FMA is baseline (aarch64, for one), which would round
 # differently from NumPy.
 FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
-SOURCES = ("walk.c", "arborescence.c")
+SOURCES = ("walk.c", "candidates.c", "arborescence.c")
 _COMPILE_TIMEOUT_S = 120.0
 _WALKS = {
     np.dtype(np.float32): "cbm_walk_f32",
@@ -66,6 +68,27 @@ ARBORESCENCE_DIVERGED = -2
 # Every symbol the library must export: name -> (argtypes, restype).
 _SIGNATURES = {
     **{name: (_WALK_ARGTYPES, None) for name in _WALKS.values()},
+    "cbm_candidates": (
+        [
+            ctypes.c_int64,  # first row
+            ctypes.c_int64,  # end row
+            ctypes.c_void_p,  # A indptr
+            ctypes.c_void_p,  # A indices
+            ctypes.c_void_p,  # Aᵀ indptr
+            ctypes.c_void_p,  # Aᵀ indices
+            ctypes.c_void_p,  # row nnz
+            ctypes.c_int64,  # alpha, or -1 for the undirected filter
+            ctypes.c_void_p,  # int32 counters, zeroed
+            ctypes.c_void_p,  # touched-row scratch
+            ctypes.c_void_p,  # row bitmap, zeroed
+            ctypes.c_int64,  # output capacity, in edges
+            ctypes.c_void_p,  # out: sources
+            ctypes.c_void_p,  # out: destinations
+            ctypes.c_void_p,  # out: weights
+            ctypes.c_void_p,  # out: the first row not emitted
+        ],
+        ctypes.c_int64,
+    ),
     "cbm_arborescence": (
         [
             ctypes.c_int64,  # n rows
@@ -158,8 +181,8 @@ def load() -> ctypes.CDLL | None:
             return _open(build(Path(tmp)))
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         warnings.warn(
-            f"compiled kernels unavailable ({exc}); plans use the NumPy level walk "
-            "and arborescences the NumPy rounds",
+            f"compiled kernels unavailable ({exc}); plans use the NumPy level walk, "
+            "candidate edges SciPy's A @ A.T and arborescences the NumPy rounds",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -390,5 +390,11 @@ class MutableAdjacency:
             self._journal.clear()
             version = self._version
         if self.tracker is not None:
-            self.tracker.mark_rebuilt(cbm, version=version, replayed=len(replay))
+            self.tracker.mark_rebuilt(
+                fresh_cbm,
+                version=version,
+                live=cbm,
+                replayed=len(replay),
+                replayed_edges=sum(b.num_edges for b in replay),
+            )
         return version, cbm, source, len(replay)

@@ -54,7 +54,7 @@ from repro.streaming.drift import DriftPolicy, DriftTracker
 from repro.streaming.mutable import EdgeBatch, MutableAdjacency
 from repro.streaming.rebuild import BackgroundRebuilder, publish_snapshot
 
-__all__ = ["run_mutation_soak"]
+__all__ = ["patched_budget", "run_mutation_soak"]
 
 
 def _default_adjacency(n: int = 96, density: float = 0.06, seed: int = 7) -> CSRMatrix:
@@ -177,6 +177,16 @@ def _verify(
                 continue
         ok += 1
     return ok, wrong, max_stale
+
+
+def patched_budget(tracker_snapshot: dict) -> int:
+    """The staleness budget the live patched matrix is audited with: the
+    deltas it carries beyond the last rebuild plus the edges patched
+    since (replayed ones included), at least 1."""
+    snap = tracker_snapshot
+    return max(
+        1, max(0, snap["live_deltas"] - snap["baseline_deltas"]) + snap["edges_since_rebuild"]
+    )
 
 
 def run_mutation_soak(
@@ -381,14 +391,9 @@ def run_mutation_soak(
     quarantine_log = store.quarantine_dir / "QUARANTINE.log"
     quarantined_logged = (not any(t.quarantined for t in trials)) or quarantine_log.exists()
 
-    snap = tracker.snapshot()
-    patched_budget = max(
-        1,
-        max(0, snap["live_deltas"] - snap["baseline_deltas"]) + snap["edges_since_rebuild"],
-    )
     _, live_cbm, _ = mutable.snapshot()
     patched_audit = audit_cbm(
-        live_cbm, subject="patched-cbm", staleness_budget=patched_budget
+        live_cbm, subject="patched-cbm", staleness_budget=patched_budget(tracker.snapshot())
     )
     latest = store.latest()
     rebuilt_audit = (

@@ -41,6 +41,17 @@ def random_adjacency_csr(n: int, density: float = 0.2, seed: int = 0) -> CSRMatr
     return from_dense(random_adjacency_dense(n, density, seed))
 
 
+def same_graph(g: DistanceGraph, want: DistanceGraph) -> bool:
+    """Byte-identical distance graphs: every array with its dtype, and
+    the same rows, orientation and alpha."""
+    return (g.n, g.directed, g.alpha) == (want.n, want.directed, want.alpha) and all(
+        getattr(g, k).dtype == getattr(want, k).dtype
+        and getattr(g, k).shape == getattr(want, k).shape
+        and getattr(g, k).tobytes() == getattr(want, k).tobytes()
+        for k in ("src", "dst", "weight", "row_nnz")
+    )
+
+
 def prim_mst(g: DistanceGraph) -> CompressionTree:
     """MST via lazy-deletion heap Prim started at the virtual node.
 
@@ -89,8 +100,9 @@ def prim_mst(g: DistanceGraph) -> CompressionTree:
 def pin_update_path(monkeypatch, update: str) -> None:
     """Make plans built after this call run one update-stage walk:
     ``"edge"`` the compiled per-edge walk, ``"level"`` the NumPy level
-    walk it falls back to (``"level"`` hides the whole library, so alpha
-    > 0 builds after the call run the NumPy arborescence rounds too)."""
+    walk it falls back to (``"level"`` hides the whole library, so builds
+    after the call run SciPy's candidate stage and, at alpha > 0, the
+    NumPy arborescence rounds too)."""
     if update == "level":
         monkeypatch.setattr(native, "load", lambda: None)
     elif native.load() is None:
