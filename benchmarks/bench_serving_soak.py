@@ -10,8 +10,9 @@ evidence for the serving tier in ``BENCH_PR3.json``:
 * zero hung requests (every submission resolves to a result or a typed
   error within its deadline budget plus a grace window);
 * the circuit breaker demonstrably trips CBM → guarded-CBM → CSR
-  degraded mode under injected worker kills/stalls, and recovers back to
-  the fast tier through half-open probing once the faults stop;
+  degraded mode after a hot swap to a NaN-poisoned artifact, and
+  recovers back to the fast tier through half-open probing once the
+  healthy artifact is swapped back;
 * shed / retry / breaker-transition counts and per-phase p50/p99
   latencies.
 
@@ -39,13 +40,11 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_PR3.json"
 
 FULL = dict(
     dataset="PubMed", alpha=2, clients=6, requests_per_client=25, p=32,
-    deadline_s=3.0, threads=2, fail_rate=0.45, stall_rate=0.15,
-    seed=7,
+    deadline_s=3.0, seed=7,
 )
 SMOKE = dict(
     dataset="Cora", alpha=0, clients=4, requests_per_client=10, p=16,
-    deadline_s=2.0, threads=2, fail_rate=0.45, stall_rate=0.15,
-    seed=7,
+    deadline_s=2.0, seed=7,
 )
 
 
@@ -74,8 +73,7 @@ def render(record: dict) -> str:
     lines = [
         f"Serving soak — n={w['nodes']} (alpha={w['alpha']}, "
         f"{w['clients']} clients x {w['requests_per_client']} req/phase, "
-        f"p={w['feature_width']}, deadline {w['deadline_s']:.1f}s, "
-        f"fail/stall rates {w['fail_rate']:.2f}/{w['stall_rate']:.2f})",
+        f"p={w['feature_width']}, deadline {w['deadline_s']:.1f}s)",
     ]
     for ph in record["phases"]:
         p50 = f"{ph['latency_p50_ms']:7.2f}" if ph["latency_p50_ms"] is not None else "      -"
@@ -87,8 +85,8 @@ def render(record: dict) -> str:
         )
     ch, sv, br = record["chaos"], record["service"], record["breaker"]
     lines.append(
-        f"  chaos: {ch['injected_failures']} kills + {ch['injected_stalls']} "
-        f"stalls over {ch['built']} executors; {sv['retries']} retries, "
+        f"  chaos: {ch['injected']} on {ch['poisoned_deltas']}/{ch['deltas']} "
+        f"deltas; {sv['retries']} retries, "
         f"{sv['shed']} shed; breaker {br['transitions']} transitions, "
         f"final {br['state']}@{br['tier']}"
     )

@@ -266,9 +266,10 @@ def cmd_serve_bench(args) -> int:
     """Run the chaos-under-load serving soak and print its report.
 
     Exit code 0 only when every invariant held: zero results diverging
-    from the CSR reference, zero hung requests, and (with chaos on) the
-    circuit breaker both tripped to the CSR degraded tier and recovered
-    to the fast tier through half-open probing.
+    from the CSR reference, zero hung requests, overload shed, and the
+    circuit breaker both tripped to the CSR degraded tier while a
+    NaN-poisoned artifact served and recovered to the fast tier through
+    half-open probing once the healthy one was swapped back.
     """
     import json
     import warnings as _warnings
@@ -330,9 +331,6 @@ def cmd_serve_bench(args) -> int:
             requests_per_client=args.requests,
             p=args.columns,
             deadline_s=args.deadline,
-            threads=args.threads,
-            fail_rate=args.fail_rate,
-            stall_rate=args.stall_rate,
             seed=args.seed,
         )
     print(f"serving soak — {name} (alpha={args.alpha}, {args.clients} clients, "
@@ -355,8 +353,8 @@ def cmd_serve_bench(args) -> int:
     sv = report["service"]
     print(f"  breaker: {br['state']} at tier {br['tier']}, "
           f"{br['transitions']} transitions")
-    print(f"  chaos: {ch['injected_failures']} worker kills, "
-          f"{ch['injected_stalls']} stalls over {ch['built']} executors")
+    print(f"  chaos: {ch['injected']} on {ch['poisoned_deltas']} of "
+          f"{ch['deltas']} deltas")
     print(f"  service: {sv['retries']} retries, {sv['shed']} shed, "
           f"{sv['swaps']} swaps")
     for key, ok in report["checks"].items():
@@ -442,7 +440,6 @@ def cmd_check_plan(args) -> int:
                 cbm.plan(),
                 threads=args.threads,
                 p=args.columns,
-                branch_timeout=args.branch_timeout,
                 batch_layout=layout,
                 subject=f"{name}(alpha={args.alpha})",
             )
@@ -839,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plan",
         help="prove the branch-parallel update stage race-free for a "
         "graph's kernel plans (branches, levels, workspace pool, "
-        "watchdog coverage, schedule accounting)",
+        "schedule accounting)",
     )
     pc.add_argument("target", nargs="+", help="graph spec(s)")
     pc.add_argument("-a", "--alpha", type=int, default=0)
@@ -851,13 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="column cap of the representative stacked-operand batch "
         "layout audited alongside each plan",
-    )
-    pc.add_argument(
-        "--branch-timeout",
-        type=float,
-        default=30.0,
-        help="executor watchdog budget assumed per branch (None disables "
-        "the timeout owner and flags a coverage gap)",
     )
     pc.add_argument("--json", help="write the structured audit report here")
     pc.add_argument("--verbose", action="store_true", help="print passed checks too")
@@ -1031,11 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clients", type=int, default=4, help="concurrent client threads")
     p.add_argument("--requests", type=int, default=15, help="requests per client per phase")
     p.add_argument("--deadline", type=float, default=2.0, help="per-request budget (s)")
-    p.add_argument("--threads", type=int, default=2, help="update-stage worker threads")
-    p.add_argument("--fail-rate", type=float, default=0.45,
-                   help="chaos-phase worker-death probability per executor")
-    p.add_argument("--stall-rate", type=float, default=0.15,
-                   help="chaos-phase worker-stall probability per executor")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batched", action="store_true",
                    help="run the mixed-widths / swap-storm / poison scenario "

@@ -75,10 +75,6 @@ class ParallelError(ReproError, RuntimeError):
     """The parallel executor or schedule simulator hit an inconsistent state."""
 
 
-class WatchdogTimeout(ParallelError):
-    """An update-stage worker exceeded the per-branch watchdog timeout."""
-
-
 class NumericalError(ReproError, ArithmeticError):
     """A kernel input or output contains non-finite values (NaN/Inf)."""
 

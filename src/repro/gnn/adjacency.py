@@ -138,14 +138,14 @@ class CBMAdjacency:
 
 
 def make_operator(
-    a: CSRMatrix, kind: Literal["csr", "cbm", "guarded"], *, alpha: int = 0, **guard_kwargs
+    a: CSRMatrix, kind: Literal["csr", "cbm", "guarded"], *, alpha: int = 0
 ) -> AdjacencyOp:
     """Factory used by benchmarks and the serving layer: same graph,
     any representation.
 
     ``"guarded"`` wraps the CBM form in the reliability layer's
-    validate-then-fallback kernel (extra keyword arguments are forwarded
-    to :class:`~repro.reliability.guard.GuardedKernel`); the GNN forwards
+    validate-then-fallback kernel
+    (:class:`~repro.reliability.guard.GuardedKernel`); the GNN forwards
     are representation-agnostic, so models run unchanged on any of the
     three.
     """
@@ -157,7 +157,7 @@ def make_operator(
         # Local import: repro.reliability imports this module's protocol.
         from repro.reliability import GuardedAdjacency
 
-        return GuardedAdjacency.from_graph(a, alpha=alpha, **guard_kwargs)
+        return GuardedAdjacency.from_graph(a, alpha=alpha)
     raise ValueError(
         f"unknown adjacency kind {kind!r}; expected 'csr', 'cbm', or 'guarded'"
     )

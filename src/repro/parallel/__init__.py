@@ -4,10 +4,12 @@ The paper evaluates on a 16-core Intel Xeon Gold 6130 with OpenMP thread
 pinning.  The reproduction runs on a 2-core machine, so this package
 provides two layers:
 
-* :mod:`repro.parallel.executor` — a *real* thread-pool execution of the
+* :mod:`repro.parallel.executor` — a *real* thread-pool replay of the
   CBM update stage over compression-tree branches, the paper's
-  shared-memory parallelism.  Correct on any core count (verified by
-  tests); it simply cannot show 16-way scaling here.
+  shared-memory policy.  Correct on any core count (verified by tests),
+  but it replays edges from Python: served products run the compiled
+  walk on one thread instead, and this replay is the benchmark probe
+  that measures the policy against it.
 * :mod:`repro.parallel.machine`, :mod:`repro.parallel.cache`,
   :mod:`repro.parallel.schedule`, :mod:`repro.parallel.simulate` — a
   shared-memory machine model (cores, cache hierarchy, bandwidth) and a
@@ -20,7 +22,7 @@ provides two layers:
 """
 
 from repro.parallel.cache import CacheModel, WorkingSet, plan_working_set
-from repro.parallel.executor import ThreadedUpdateExecutor, parallel_matmul
+from repro.parallel.executor import ThreadedUpdateExecutor
 from repro.parallel.machine import XEON_GOLD_6130, CacheLevel, MachineSpec
 from repro.parallel.report import cost_breakdown, render_breakdown
 from repro.parallel.scaling import ScalingPoint, parallel_efficiency, saturation_cores, strong_scaling_curve
@@ -45,7 +47,6 @@ __all__ = [
     "plan_update_schedule",
     "simulate_dynamic_schedule",
     "ThreadedUpdateExecutor",
-    "parallel_matmul",
     "KernelCost",
     "predict_cbm_spmm",
     "predict_csr_spmm",

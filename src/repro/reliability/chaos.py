@@ -2,28 +2,18 @@
 
 Every helper here is seeded and reproducible: the test-suite uses them
 to *prove* the degradation paths — corrupted archive → ``IntegrityError``,
-mid-update worker death → ``ParallelError`` + invalidated buffer, worker
-stall → ``WatchdogTimeout``, NaN features → ``NumericalError``, corrupted
-tree/deltas → validation error or CSR fallback.  Nothing in this module
-is imported by the production kernels; it only *wraps or produces*
-corrupted inputs for them.
+NaN features → ``NumericalError``, corrupted tree/deltas → validation
+error or CSR fallback.  Nothing in this module is imported by the
+production kernels; it only *produces* corrupted inputs for them.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import time
 
 import numpy as np
 
 from repro.core.cbm import CBMMatrix
-from repro.parallel.executor import ThreadedUpdateExecutor
-
-
-class ChaosFault(RuntimeError):
-    """The injected failure itself (deliberately *not* a ReproError: the
-    executor must wrap arbitrary worker exceptions, not just library ones)."""
 
 
 # ---------------------------------------------------------------------------
@@ -191,119 +181,3 @@ def corrupt_tree_parents(parent: np.ndarray, *, mode: str = "cycle", seed: int =
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
     return bad
-
-
-# ---------------------------------------------------------------------------
-# Executor fault injection
-# ---------------------------------------------------------------------------
-
-class ChaosExecutor(ThreadedUpdateExecutor):
-    """Update-stage executor that kills or stalls a chosen branch replay.
-
-    ``fail_on_branch=k`` raises :class:`ChaosFault` on the k-th branch a
-    worker picks up (0-based, in pickup order — deterministic because
-    the counter is shared and locked).  ``stall_on_branch=k`` makes that
-    replay hang for ``stall_seconds`` instead, cooperatively polling the
-    run's cancel event so test threads exit once the watchdog trips.
-    """
-
-    def __init__(
-        self,
-        threads: int,
-        *,
-        fail_on_branch: int | None = None,
-        stall_on_branch: int | None = None,
-        stall_seconds: float = 30.0,
-        **kwargs,
-    ):
-        super().__init__(threads, **kwargs)
-        self.fail_on_branch = fail_on_branch
-        self.stall_on_branch = stall_on_branch
-        self.stall_seconds = stall_seconds
-        self._picked = 0
-        self._pick_lock = threading.Lock()
-
-    def _replay_branch(
-        self,
-        branch: np.ndarray,
-        parent: np.ndarray,
-        c: np.ndarray,
-        cancel: threading.Event | None = None,
-    ) -> None:
-        with self._pick_lock:
-            k = self._picked
-            self._picked += 1
-        if k == self.fail_on_branch:
-            raise ChaosFault(f"chaos: injected worker death on branch #{k}")
-        if k == self.stall_on_branch:
-            deadline = time.monotonic() + self.stall_seconds
-            while time.monotonic() < deadline:
-                if cancel is not None and cancel.is_set():
-                    return  # branch abandoned mid-replay, like a hung worker
-                time.sleep(0.005)
-            return
-        super()._replay_branch(branch, parent, c, cancel)
-
-
-class ChaosExecutorFactory:
-    """Seeded executor factory that makes a fraction of runs fail or stall.
-
-    Drop-in for the ``executor_factory`` hooks of
-    :func:`~repro.parallel.executor.parallel_matmul` and
-    :class:`~repro.reliability.guard.GuardedKernel`: each time the fast
-    path builds an update-stage executor, a shared seeded RNG decides
-    whether this run gets a healthy :class:`ThreadedUpdateExecutor`, one
-    that kills a worker (:class:`ChaosExecutor` ``fail_on_branch=0``), or
-    one that stalls a branch until the watchdog trips.  ``enabled`` can
-    be flipped off mid-soak (the recovery phase), and the counters let
-    the harness report exactly how many faults it injected.
-    """
-
-    def __init__(
-        self,
-        *,
-        fail_rate: float = 0.0,
-        stall_rate: float = 0.0,
-        stall_seconds: float = 30.0,
-        seed: int = 0,
-    ):
-        if not 0.0 <= fail_rate + stall_rate <= 1.0:
-            raise ValueError(
-                f"fail_rate + stall_rate must lie in [0, 1], got "
-                f"{fail_rate} + {stall_rate}"
-            )
-        self.fail_rate = fail_rate
-        self.stall_rate = stall_rate
-        self.stall_seconds = stall_seconds
-        self.enabled = True
-        self.built = 0
-        self.injected_failures = 0
-        self.injected_stalls = 0
-        self._rng = np.random.default_rng(seed)
-        self._lock = threading.Lock()
-
-    def __call__(self, threads: int, **kwargs) -> ThreadedUpdateExecutor:
-        with self._lock:
-            self.built += 1
-            draw = float(self._rng.random())
-            if self.enabled and draw < self.fail_rate:
-                self.injected_failures += 1
-                return ChaosExecutor(threads, fail_on_branch=0, **kwargs)
-            if self.enabled and draw < self.fail_rate + self.stall_rate:
-                self.injected_stalls += 1
-                return ChaosExecutor(
-                    threads,
-                    stall_on_branch=0,
-                    stall_seconds=self.stall_seconds,
-                    **kwargs,
-                )
-        return ThreadedUpdateExecutor(threads, **kwargs)
-
-    def describe(self) -> dict:
-        return {
-            "built": self.built,
-            "injected_failures": self.injected_failures,
-            "injected_stalls": self.injected_stalls,
-            "fail_rate": self.fail_rate,
-            "stall_rate": self.stall_rate,
-        }

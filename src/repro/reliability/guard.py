@@ -1,10 +1,10 @@
 """Guarded execution of CBM products: validate, detect, fall back.
 
-The CBM fast path (plan/execute runtime + branch-parallel update stage)
-mutates buffers in place and trusts the compression tree; a corrupted
-structure, a failed worker, or a numerical blow-up would otherwise
-surface as a *silently wrong* product.  :class:`GuardedKernel` wraps
-``KernelPlan.execute`` / ``parallel_matmul`` with three layers:
+The CBM fast path (the plan/execute runtime and its compiled update
+walk) mutates buffers in place and trusts the compression tree; a
+corrupted structure or a numerical blow-up would otherwise surface as a
+*silently wrong* product.  :class:`GuardedKernel` wraps
+``KernelPlan.execute`` with three layers:
 
 1. **input validation** — dense shape checks up front, plus a *lazy*
    non-finite scan of the operand: NaN/Inf in the features propagates
@@ -15,14 +15,13 @@ surface as a *silently wrong* product.  :class:`GuardedKernel` wraps
 2. **output validation** — shape-drift and non-finite detection on the
    CBM result;
 3. **graceful degradation** — any :class:`~repro.errors.ReproError`
-   from the fast path (worker death, watchdog trip, corrupted
-   tree/deltas, NaN blow-up) triggers a fallback chain: the per-call
-   reference path ``matmul_unplanned``, then the CSR reference product
-   ``a @ x`` against the ``source`` matrix if one was provided.  Each
-   fallback is validated the same way, emits a structured
-   :class:`FallbackWarning`, and bumps the :class:`GuardStats` counter,
-   so callers always receive a *correct* result or a typed error —
-   never a quietly wrong buffer.
+   from the fast path (corrupted tree/deltas, NaN blow-up) triggers a
+   fallback chain: the per-call reference path ``matmul_unplanned``,
+   then the CSR reference product ``a @ x`` against the ``source``
+   matrix if one was provided.  Each fallback is validated the same
+   way, emits a structured :class:`FallbackWarning`, and bumps the
+   :class:`GuardStats` counter, so callers always receive a *correct*
+   result or a typed error — never a quietly wrong buffer.
 
 ``strict=True`` flips the policy: the first failure re-raises instead
 of degrading (serving deployments that prefer fail-fast over fail-soft).
@@ -131,24 +130,6 @@ class GuardedKernel:
         corruption of the CBM structures themselves.
     strict:
         Re-raise the first failure instead of falling back.
-    threads:
-        When set, products run through
-        :func:`~repro.parallel.executor.parallel_matmul` (branch-parallel
-        update stage) instead of ``KernelPlan.execute``.
-    branch_timeout:
-        Watchdog limit per branch for the threaded path (seconds).
-    deadline:
-        Optional absolute :func:`time.monotonic` deadline forwarded to
-        the threaded executor's watchdog: the whole update stage is
-        cancelled (buffer restored/invalidated) once it passes, so a
-        per-request budget bounds the fast path instead of one slow
-        branch blocking the queue.  The serving layer sets this on its
-        request-scoped guards.
-    executor_factory:
-        Callable with the :class:`~repro.parallel.executor.ThreadedUpdateExecutor`
-        constructor signature used to build the threaded-path executor.
-        Defaults to the real executor; the chaos soak harness swaps in
-        fault-injecting ones without monkeypatching.
     stats:
         Share an existing (thread-safe) :class:`GuardStats` instead of
         creating a private one — the serving layer aggregates every
@@ -158,10 +139,11 @@ class GuardedKernel:
         the guard falls back (never in strict mode).  The serving layer's
         circuit breaker listens here: an internally repaired failure is
         still a fast-path failure signal.
-    validate_inputs / validate_outputs:
-        Toggle the non-finite scans (shape checks always run).  The
-        input scan is lazy — it runs only while attributing a failure,
-        so the happy path costs one output scan per product.
+
+    Products use the default ``"deferred"`` row scaling.  The non-finite
+    scans always run: the input scan is lazy — it runs only while
+    attributing a failure — so the happy path costs one output scan per
+    product.
     """
 
     def __init__(
@@ -170,40 +152,25 @@ class GuardedKernel:
         *,
         source: CSRMatrix | None = None,
         strict: bool = False,
-        threads: int | None = None,
-        branch_timeout: float | None = None,
-        deadline: float | None = None,
-        executor_factory=None,
-        scaling: str = "deferred",
-        validate_inputs: bool = True,
-        validate_outputs: bool = True,
         stats: GuardStats | None = None,
         on_degrade=None,
     ):
         self.cbm = cbm
         self.source = source
         self.strict = strict
-        self.threads = threads
-        self.branch_timeout = branch_timeout
-        self.deadline = deadline
-        self.executor_factory = executor_factory
-        self.scaling = scaling
-        self.validate_inputs = validate_inputs
-        self.validate_outputs = validate_outputs
         self.stats = stats if stats is not None else GuardStats()
         self.on_degrade = on_degrade
-        # Memoised plan for the serial path: the scaling mode is fixed
-        # per guard, and the lock + dict handling in
-        # ``CBMMatrix.plan`` is measurable against the <5% overhead
-        # budget.  The fingerprint check keeps ``CBMMatrix.invalidate``
-        # honoured — a stale plan would serve its pre-mutation scaled
-        # operand and mask corruption from the guard entirely.
+        # Memoised plan: the lock + dict handling in ``CBMMatrix.plan``
+        # is measurable against the <5% overhead budget.  The
+        # fingerprint check keeps ``CBMMatrix.invalidate`` honoured — a
+        # stale plan would serve its pre-mutation scaled operand and
+        # mask corruption from the guard entirely.
         self._plan = None
 
     def _get_plan(self):
         plan = self._plan
         if plan is None or not plan.matches(self.cbm):
-            plan = self._plan = self.cbm.plan(scaling=self.scaling)
+            plan = self._plan = self.cbm.plan()
         return plan
 
     # ------------------------------------------------------------------
@@ -225,7 +192,7 @@ class GuardedKernel:
         a corrupted input can never be repaired by a format fallback,
         so it raises :class:`~repro.errors.NumericalError` directly.
         """
-        if self.validate_inputs and not all_finite(x):
+        if not all_finite(x):
             self.stats.record_input_rejection()
             err = NumericalError(
                 f"{name} contains NaN/Inf values; no format fallback can "
@@ -241,8 +208,6 @@ class GuardedKernel:
         expected = (self.cbm.shape[0], *cols)
         if c.shape != expected:
             raise ShapeError.mismatch("guarded product output", expected, c.shape)
-        if not self.validate_outputs:
-            return
         # Inlined fast path of ``all_finite``: the kernel output is a
         # fresh contiguous float array, so one BLAS self-dot settles the
         # common case; ``all_finite`` re-checks exactly (the probe also
@@ -266,20 +231,7 @@ class GuardedKernel:
             raise ShapeError.mismatch("guarded matmul", self.shape, b.shape)
         self.stats.record_call()
         try:
-            if self.threads is not None:
-                from repro.parallel.executor import parallel_matmul
-
-                c = parallel_matmul(
-                    self.cbm,
-                    b,
-                    threads=self.threads,
-                    engine=engine,
-                    branch_timeout=self.branch_timeout,
-                    deadline=self.deadline,
-                    executor_factory=self.executor_factory,
-                )
-            else:
-                c = self._get_plan().execute(b, out=out, engine=engine)
+            c = self._get_plan().execute(b, out=out, engine=engine)
             self._check_output(c, (b.shape[1],))
             return c
         except ReproError as exc:
@@ -358,14 +310,14 @@ class GuardedKernel:
         self._degrade(exc)
         c: np.ndarray | None = None
         try:
-            c = self.cbm.matmul_unplanned(b, scaling=self.scaling)
-            if self.validate_outputs and not all_finite(c):
+            c = self.cbm.matmul_unplanned(b)
+            if not all_finite(c):
                 c = None
         except ReproError:
             c = None
         if c is None and self.source is not None:
             c = spmm(self.source, b, engine=engine)
-            if self.validate_outputs and not all_finite(c):
+            if not all_finite(c):
                 raise NumericalError(
                     "CSR reference product is also non-finite; the stored "
                     "matrix or the operand is corrupted beyond recovery"
@@ -384,14 +336,14 @@ class GuardedKernel:
         self._degrade(exc)
         u: np.ndarray | None = None
         try:
-            u = self.cbm.matvec_unplanned(v, scaling=self.scaling)
-            if self.validate_outputs and not all_finite(u):
+            u = self.cbm.matvec_unplanned(v)
+            if not all_finite(u):
                 u = None
         except ReproError:
             u = None
         if u is None and self.source is not None:
             u = spmv(self.source, v, engine=engine)
-            if self.validate_outputs and not all_finite(u):
+            if not all_finite(u):
                 raise NumericalError(
                     "CSR reference product is also non-finite; the stored "
                     "matrix or the operand is corrupted beyond recovery"
@@ -404,8 +356,6 @@ class GuardedKernel:
         """Guard configuration + counters (CLI ``--guarded`` prints this)."""
         return {
             "strict": self.strict,
-            "threads": self.threads,
-            "branch_timeout": self.branch_timeout,
             "has_source": self.source is not None,
             **self.stats.as_dict(),
         }
@@ -425,9 +375,7 @@ class GuardedAdjacency:
         self.guard = guard
 
     @classmethod
-    def from_graph(
-        cls, a: CSRMatrix, *, alpha: int = 0, strict: bool = False, **guard_kwargs
-    ) -> "GuardedAdjacency":
+    def from_graph(cls, a: CSRMatrix, *, alpha: int = 0) -> "GuardedAdjacency":
         """Compress ``Â`` to CBM(DAD) and keep the CSR ``Â`` as fallback."""
         from repro.core.builder import build_cbm
         from repro.core.cbm import Variant
@@ -436,14 +384,14 @@ class GuardedAdjacency:
         binary, diag = gcn_normalization(a)
         cbm, _ = build_cbm(binary, alpha=alpha, variant=Variant.DAD, diag=diag)
         source = normalized_adjacency(a)
-        return cls(GuardedKernel(cbm, source=source, strict=strict, **guard_kwargs))
+        return cls(GuardedKernel(cbm, source=source))
 
     @property
     def n(self) -> int:
         return self.guard.n
 
     def prepare(self, *, width: int | None = None, dtype=np.float32) -> None:
-        plan = self.guard.cbm.plan(scaling=self.guard.scaling)
+        plan = self.guard.cbm.plan()
         if width is not None:
             plan.pool.warm((self.n, int(width)), dtype, count=1)
 

@@ -250,10 +250,11 @@ class KernelPlan:
     ) -> np.ndarray:
         """Multiplication stage only: ``A′ @ b`` (or ``(AD)′ @ b``).
 
-        Used directly by the branch-parallel executor, which applies the
-        update stage itself.  ``out`` must be C-contiguous, match the
-        result shape/dtype, and not alias ``b``; when given, the product
-        is written into it in place.
+        The branch replay
+        (:class:`~repro.parallel.executor.ThreadedUpdateExecutor`) runs
+        after it and applies the update stage itself.  ``out`` must be
+        C-contiguous, match the result shape/dtype, and not alias ``b``;
+        when given, the product is written into it in place.
         """
         b = check_dense(b, name="b", ndim=2)
         if b.shape[0] != self.shape[1]:

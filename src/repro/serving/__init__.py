@@ -1,12 +1,12 @@
 """In-process inference serving over the CBM runtime.
 
 The resilience tier of the reproduction: a thread-safe service with
-bounded-queue admission control, per-request deadline budgets propagated
-into the update-stage watchdog, retry with decorrelated-jitter backoff,
-a per-adjacency circuit breaker walking the CBM → guarded-CBM → CSR
-degradation ladder, and hot-swap of CRC-verified CBM archives.  See
-``docs/ARCHITECTURE.md`` ("Serving & resilience") for the state machine
-and the deadline propagation path.
+bounded-queue admission control, per-request deadline budgets checked
+before each batch runs and before each retry, retry with
+decorrelated-jitter backoff, a per-adjacency circuit breaker walking the
+CBM → guarded-CBM → CSR degradation ladder, and hot-swap of
+CRC-verified CBM archives.  See ``docs/ARCHITECTURE.md`` ("Serving &
+resilience") for the state machine and where deadlines are enforced.
 """
 
 from repro.serving.backoff import RetryPolicy, is_transient

@@ -1,8 +1,8 @@
 """Retry policy: exponential backoff with decorrelated jitter.
 
-Transient fast-path failures (a killed worker, a watchdog trip, a NaN
-blow-up from an in-flight buffer) are worth one or two more attempts —
-but naive fixed-interval retries synchronise clients into retry storms.
+Transient fast-path failures (a non-finite product from finite inputs)
+are worth one or two more attempts — but naive fixed-interval retries
+synchronise clients into retry storms.
 The service uses *decorrelated jitter* (Brooker's variant of capped
 exponential backoff): each delay is drawn uniformly from
 ``[base, prev * 3]`` and capped, which decorrelates concurrent retriers
@@ -19,12 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.errors import (
-    NumericalError,
-    ParallelError,
-    ServingError,
-    WatchdogTimeout,
-)
+from repro.errors import NumericalError, ServingError
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,6 @@ class RetryPolicy:
 def is_transient(exc: BaseException) -> bool:
     """Whether retrying the fast path could plausibly fix this failure.
 
-    Worker deaths and watchdog trips are scheduling accidents — retry.
     A non-finite *output* from finite inputs may be an in-flight buffer
     race or injected corruption — retry (the circuit breaker catches the
     persistent case).  A non-finite *input* (the guard marks those with
@@ -71,4 +65,4 @@ def is_transient(exc: BaseException) -> bool:
         return False
     if isinstance(exc, ServingError):
         return False
-    return isinstance(exc, (ParallelError, WatchdogTimeout, NumericalError))
+    return isinstance(exc, NumericalError)

@@ -50,7 +50,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from repro.serving.deadline import Deadline
 from repro.utils.validation import check_positive
 
 #: Operator kinds a batch key can carry.  Vector and matrix requests
@@ -167,9 +166,6 @@ class Batch:
     @property
     def width(self) -> int:
         return sum(m.width for m in self.members)
-
-    def tightest_expiry(self) -> float:
-        return Deadline.tightest(m.deadline for m in self.members)
 
     def layout(self, *, quantum: int = 1) -> BatchLayout:
         return BatchLayout.pack(

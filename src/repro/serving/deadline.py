@@ -3,9 +3,10 @@
 A :class:`Deadline` is an absolute :func:`time.monotonic` instant plus
 helpers to read the remaining budget.  It is created at admission time
 and travels with the request: the queue wait, every kernel attempt, and
-every backoff sleep all draw from the same budget, and the executor's
-watchdog receives the absolute instant (``expires_at``) so a slow update
-stage is cancelled mid-run instead of blocking a worker past the budget.
+every backoff sleep all draw from the same budget.  The service checks
+it when a batch is about to run (an expired member is rejected with
+:class:`~repro.errors.DeadlineExceeded`) and before each retry; a
+product that has started runs to completion.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from repro.utils.validation import check_positive
 class Deadline:
     """An absolute monotonic-clock deadline with a fixed initial budget.
 
-    ``clock`` is injectable for tests (defaults to :func:`time.monotonic`,
-    the same clock the executor watchdog uses — the two must agree for
-    ``expires_at`` propagation to be meaningful).
+    ``clock`` is injectable for tests (defaults to :func:`time.monotonic`).
     """
 
     __slots__ = ("budget_s", "started_at", "expires_at", "_clock")
@@ -35,18 +34,6 @@ class Deadline:
     def remaining(self) -> float:
         """Seconds left before expiry (clamped at 0)."""
         return max(0.0, self.expires_at - self._clock())
-
-    @staticmethod
-    def tightest(deadlines) -> float:
-        """Earliest absolute expiry among ``deadlines``.
-
-        The micro-batching stage closes an open batch against this
-        instant (minus its close margin) so that coalescing never
-        violates the most impatient member's budget, and forwards it to
-        the executor watchdog so one stacked run is cancelled when the
-        tightest member's budget passes.
-        """
-        return min(d.expires_at for d in deadlines)
 
     @property
     def expired(self) -> bool:

@@ -11,9 +11,11 @@ ladder (see :mod:`repro.serving.breaker`).  The contract to clients:
   typed admission error (:class:`~repro.errors.OverloadError` with a
   ``retry_after`` hint, or :class:`~repro.errors.ServiceUnavailable`);
 * every accepted request resolves — to a validated result or a typed
-  :class:`~repro.errors.ReproError` — within its deadline budget plus
-  one watchdog poll; nothing hangs and nothing returns a silently wrong
-  buffer.
+  :class:`~repro.errors.ReproError`; a request whose deadline budget
+  ran out before its batch started is rejected with
+  :class:`~repro.errors.DeadlineExceeded`, and a product that has
+  started runs to completion.  Nothing hangs and nothing returns a
+  silently wrong buffer.
 
 The serving target is an :class:`AdjacencySlot` — the CBM matrix, its
 CSR reference, and their shared :class:`GuardStats` — which can be
@@ -319,10 +321,6 @@ class InferenceService:
         :meth:`submit` sheds load with :class:`~repro.errors.OverloadError`.
     default_deadline_s:
         Deadline budget for requests that do not bring their own.
-    threads / branch_timeout:
-        Forwarded to the guarded kernels: ``threads`` routes products
-        through the branch-parallel executor (required for mid-run
-        cancellation), ``branch_timeout`` bounds a single branch replay.
     retry:
         :class:`~repro.serving.backoff.RetryPolicy` for transient errors.
     breaker:
@@ -333,8 +331,6 @@ class InferenceService:
         two-layer GCN forward ``Â σ(Â X W⁰) W¹`` instead of the bare
         product, with every ``Â`` product still routed through the
         batch's serving tier.
-    executor_factory:
-        Forwarded to the guarded kernels' threaded path (chaos soak hook).
     batch:
         The :class:`~repro.serving.batching.BatchConfig` (column cap and
         width quantum) of the micro-batching executor; ``None`` uses
@@ -347,14 +343,10 @@ class InferenceService:
         *,
         queue_capacity: int = 32,
         default_deadline_s: float = 5.0,
-        threads: int | None = None,
-        branch_timeout: float | None = None,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         weights: tuple[np.ndarray, np.ndarray] | None = None,
-        executor_factory=None,
         batch: BatchConfig | None = None,
-        validate: bool = True,
         seed: int = 0,
     ):
         check_positive(queue_capacity, "queue_capacity")
@@ -362,8 +354,6 @@ class InferenceService:
         self._slot = slot
         self.queue_capacity = queue_capacity
         self.default_deadline_s = default_deadline_s
-        self.threads = threads
-        self.branch_timeout = branch_timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.weights = None
@@ -373,8 +363,6 @@ class InferenceService:
                 np.asarray(w0, dtype=np.float32),
                 np.asarray(w1, dtype=np.float32),
             )
-        self.executor_factory = executor_factory
-        self.validate = validate
         self.stats = ServiceStats()
 
         self._queue: "queue.Queue[_Request | None]" = queue.Queue(maxsize=queue_capacity)
@@ -652,14 +640,7 @@ class InferenceService:
                     slot.cbm,
                     source=slot.source if guarded else None,
                     strict=not guarded,
-                    threads=self.threads,
-                    branch_timeout=self.branch_timeout,
-                    deadline=(
-                        batch.tightest_expiry() if self.threads is not None else None
-                    ),
-                    executor_factory=self.executor_factory,
                     stats=slot.stats,
-                    validate_outputs=self.validate,
                     on_degrade=fell_back.append,
                 )
                 product = guard.matmul
@@ -675,22 +656,21 @@ class InferenceService:
                     ys[:, lo].copy() if req.vector else np.ascontiguousarray(ys[:, lo:hi])
                     for req, (lo, hi) in zip(members, spans)
                 ]
-            if csr_tier and self.validate:
-                # The guarded tiers validate inside GuardedKernel; the two
-                # CSR tiers validate here.
-                if not all(all_finite(y) for y in outs):
-                    if not all_finite(xs):
-                        err = NumericalError(
-                            "a stacked operand contains NaN/Inf; no serving "
-                            "tier can repair a corrupted input"
-                        )
-                        err.input_rejection = True
-                        slot.stats.record_input_rejection()
-                        raise err
-                    raise NumericalError(
-                        "CSR reference product is non-finite; the stored matrix "
-                        "or an operand is corrupted beyond recovery"
+            # The guarded tiers validate inside GuardedKernel; the two CSR
+            # tiers validate here.
+            if csr_tier and not all(all_finite(y) for y in outs):
+                if not all_finite(xs):
+                    err = NumericalError(
+                        "a stacked operand contains NaN/Inf; no serving "
+                        "tier can repair a corrupted input"
                     )
+                    err.input_rejection = True
+                    slot.stats.record_input_rejection()
+                    raise err
+                raise NumericalError(
+                    "CSR reference product is non-finite; the stored matrix "
+                    "or an operand is corrupted beyond recovery"
+                )
             return outs, bool(fell_back)
         finally:
             plan.release(xs)

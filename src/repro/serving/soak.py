@@ -5,13 +5,15 @@ with concurrent client threads through three phases:
 
 1. **healthy** — no faults; establishes the baseline and proves the
    breaker stays CLOSED at :attr:`ServeTier.FAST`;
-2. **chaos** — a seeded :class:`~repro.reliability.chaos.ChaosExecutorFactory`
-   kills/stalls update-stage workers and a fraction of requests carry
-   NaN-poisoned operands; the breaker must walk the ladder down to
-   :attr:`ServeTier.DEGRADED` while every *successful* response stays
-   bit-comparable to the CSR reference;
-3. **recovery** — fault injection stops and light traffic drives the
-   half-open probes until the breaker climbs back to FAST.
+2. **chaos** — the service hot-swaps (:meth:`InferenceService.swap_slot`)
+   to a slot of the same graph whose CBM deltas are NaN-poisoned
+   (:func:`~repro.reliability.chaos.corrupt_deltas`), and a fraction of
+   requests carry NaN-poisoned operands; every CBM product now fails, so
+   the breaker must walk the ladder down to :attr:`ServeTier.DEGRADED`
+   while every *successful* response stays bit-comparable to the CSR
+   reference;
+3. **recovery** — the healthy slot is swapped back and light traffic
+   drives the half-open probes until the breaker climbs back to FAST.
 
 Two invariants are checked for every request in every phase:
 
@@ -33,18 +35,20 @@ import time
 
 import numpy as np
 
+from repro.core.builder import build_cbm
 from repro.errors import (
     DeadlineExceeded,
     NumericalError,
     OverloadError,
     ReproError,
 )
+from repro.reliability.chaos import corrupt_deltas, inject_nan
 from repro.serving.backoff import RetryPolicy
 from repro.serving.batching import BatchConfig
 from repro.serving.breaker import CircuitBreaker, ServeTier
 from repro.serving.service import AdjacencySlot, InferenceService
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import spmm
+from repro.sparse.ops import spmm, spmv
 
 
 class _PhaseTally:
@@ -95,11 +99,6 @@ def _client(
     seed: int,
 ) -> None:
     """One client thread: submit, wait, verify against the CSR reference."""
-    # Deferred: repro.reliability.chaos reaches repro.parallel, whose
-    # package init imports repro.serving — a module-level import here
-    # would close that cycle and break first-touch imports of chaos.
-    from repro.reliability.chaos import inject_nan
-
     rng = np.random.default_rng(seed)
     n = source.shape[1]
     for i in range(requests):
@@ -116,8 +115,8 @@ def _client(
             time.sleep(min(exc.retry_after, 0.05))
             continue
         try:
-            # Grace beyond the budget covers queue wait + one watchdog
-            # poll; anything slower is a liveness violation.
+            # Grace beyond the budget covers a product that started just
+            # before the deadline; anything slower is a liveness violation.
             y = future.result(timeout=deadline_s + 5.0)
         except TimeoutError:
             with tally.lock:
@@ -249,12 +248,8 @@ def run_soak(
     requests_per_client: int = 25,
     p: int = 16,
     deadline_s: float = 2.0,
-    threads: int = 2,
     queue_capacity: int = 8,
-    fail_rate: float = 0.45,
-    stall_rate: float = 0.15,
     nan_fraction: float = 0.1,
-    branch_timeout: float = 0.25,
     recovery_rounds: int = 40,
     seed: int = 0,
 ) -> dict:
@@ -266,21 +261,12 @@ def run_soak(
     stopped.  ``ok`` is the conjunction.
 
     The service caps a batch at ``p`` columns, so every request runs
-    alone: this soak's subject is the tier ladder under executor faults,
-    one outcome per request; coalescing under load is
+    alone: this soak's subject is the tier ladder under a corrupted
+    artifact, one outcome per request; coalescing under load is
     :func:`run_batched_soak`'s subject.
     """
-    from repro.reliability.chaos import ChaosExecutorFactory
-
     if clients < 1 or requests_per_client < 1:
         raise ValueError("need at least one client and one request per client")
-    chaos = ChaosExecutorFactory(
-        fail_rate=fail_rate,
-        stall_rate=stall_rate,
-        stall_seconds=30.0,  # far beyond branch_timeout: always a watchdog trip
-        seed=seed,
-    )
-    chaos.enabled = False  # healthy phase first
     breaker = CircuitBreaker(
         window=12,
         failure_threshold=3,
@@ -290,15 +276,18 @@ def run_soak(
         probe_budget=2,
     )
     slot = AdjacencySlot.from_graph(a, alpha=alpha)
+    # The chaos phase's slot: the same graph with NaN in its CBM deltas.
+    # It shares the CSR source (so DEGRADED serves the healthy copy) and
+    # the GuardStats (so the report's guard block counts its fallbacks).
+    bad_cbm, _ = build_cbm(a, alpha=alpha)
+    corrupt_deltas(bad_cbm, mode="nan", seed=seed)
+    poisoned = AdjacencySlot(bad_cbm, slot.source, stats=slot.stats)
     service = InferenceService(
         slot,
         queue_capacity=queue_capacity,
         default_deadline_s=deadline_s,
-        threads=threads,
-        branch_timeout=branch_timeout,
         retry=RetryPolicy(max_attempts=3, base_s=0.002, cap_s=0.05),
         breaker=breaker,
-        executor_factory=chaos,
         batch=BatchConfig(max_columns=p),
         seed=seed,
     )
@@ -311,12 +300,8 @@ def run_soak(
             "requests_per_client": requests_per_client,
             "feature_width": p,
             "deadline_s": deadline_s,
-            "threads": threads,
             "queue_capacity": queue_capacity,
-            "fail_rate": fail_rate,
-            "stall_rate": stall_rate,
             "nan_fraction": nan_fraction,
-            "branch_timeout_s": branch_timeout,
             "seed": seed,
         },
         "phases": [],
@@ -340,7 +325,7 @@ def run_soak(
         )
         report["phases"].append(burst.summary())
 
-        chaos.enabled = True
+        service.swap_slot(poisoned)
         chaotic = _run_phase(
             service, slot.source, "chaos",
             clients=clients, requests_per_client=requests_per_client,
@@ -353,7 +338,7 @@ def run_soak(
             for t in breaker.transition_log()
         )
 
-        chaos.enabled = False
+        service.swap_slot(slot)
         recovery = _PhaseTally("recovery")
         rounds = 0
         for rounds in range(1, recovery_rounds + 1):
@@ -397,7 +382,11 @@ def run_soak(
     total_hung = healthy.hung + burst.hung + chaotic.hung + recovery.hung
     report["breaker"] = breaker.describe()
     report["breaker_transitions"] = breaker.transition_log()
-    report["chaos"] = chaos.describe()
+    report["chaos"] = {
+        "injected": "corrupt_deltas(mode='nan')",
+        "poisoned_deltas": int(np.isnan(poisoned.cbm.delta.data).sum()),
+        "deltas": int(poisoned.cbm.delta.nnz),
+    }
     report["service"] = service.stats.snapshot()
     report["guard"] = slot.stats.snapshot()
     report["checks"] = {
@@ -432,9 +421,6 @@ def _batched_client(
     different generation's reference is cross-generation contamination,
     the invariant the collector's bind-at-open + close-on-swap protects.
     """
-    from repro.reliability.chaos import inject_nan
-    from repro.sparse.ops import spmv
-
     rng = np.random.default_rng(seed)
     n = sources[0].shape[1]
     for i in range(requests):

@@ -15,8 +15,8 @@ the artifact or the code alone, before any kernel runs:
 * :mod:`repro.staticcheck.hazards` — a race detector for the branch-
   parallel update stage (paper Section V-B): write-write and
   read-before-write hazards across a plan's branch decomposition, level
-  schedule ordering, workspace-pool aliasing, and executor watchdog
-  coverage.  It proves branch independence instead of assuming it.
+  schedule ordering, and workspace-pool aliasing.  It proves branch
+  independence instead of assuming it.
 * :mod:`repro.staticcheck.lint` — an AST-based contract linter over the
   source tree enforcing the codebase's concurrency/buffer conventions
   (declared in-place buffer mutation, lock-guarded ``GuardStats``

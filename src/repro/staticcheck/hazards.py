@@ -21,10 +21,7 @@ branch lists / level schedules) it statically detects:
 * **workspace aliasing** — a :class:`~repro.runtime.buffers.WorkspacePool`
   holding the same buffer twice or two idle buffers sharing memory,
   which would hand one array to two concurrent executions and violate
-  the Property 3 memory accounting;
-* **watchdog coverage gaps** — branches with no timeout owner: neither a
-  ``branch_timeout`` nor a request ``deadline`` bounds their replay, so
-  a stalled worker would hang the caller forever.
+  the Property 3 memory accounting.
 
 All detectors return an :class:`AuditReport`; nothing here executes a
 kernel or spawns a thread.
@@ -35,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.tree import VIRTUAL
-from repro.staticcheck.report import AuditReport, Severity
+from repro.staticcheck.report import AuditReport
 
 _MAX_LISTED = 5
 
@@ -293,36 +290,6 @@ def analyze_pool(pool, *, subject: str = "workspace-pool") -> AuditReport:
     return report
 
 
-def analyze_watchdog(
-    branches,
-    *,
-    branch_timeout: float | None = None,
-    deadline: float | None = None,
-    subject: str = "executor-watchdog",
-) -> AuditReport:
-    """Report branches with no timeout owner.
-
-    A branch replay is bounded either per-branch (``branch_timeout``) or
-    per-request (``deadline``).  With neither set, every branch is a
-    coverage gap: a stalled worker would hang the caller forever, which
-    the serving layer's deadline contract forbids.
-    """
-    report = AuditReport(subject=subject)
-    count = len(branches)
-    if count and branch_timeout is None and deadline is None:
-        report.add(
-            "HZ-G001",
-            f"watchdog coverage gap: all {count} branches have no timeout "
-            "owner (neither branch_timeout nor a request deadline bounds "
-            "their replay)",
-            severity=Severity.WARNING,
-        )
-        report.failed("watchdog.coverage")
-    else:
-        report.passed("watchdog.coverage")
-    return report
-
-
 def analyze_schedule(
     result,
     costs=None,
@@ -490,20 +457,15 @@ def analyze_plan(
     *,
     threads: int | None = None,
     p: int = 1,
-    branch_timeout: float | None = None,
-    deadline: float | None = None,
-    watchdog: bool = True,
     batch_layout=None,
     subject: str | None = None,
 ) -> AuditReport:
     """Full hazard analysis of a built :class:`KernelPlan`.
 
-    Composes the branch, level-schedule, workspace-pool, and watchdog
-    detectors over the plan's own cached structures; when ``threads`` is
-    given, additionally simulates ``plan_update_schedule`` and
-    sanity-checks its accounting.  ``watchdog=False`` skips the
-    timeout-ownership check for callers that run the update stage
-    sequentially (no workers to stall).  ``batch_layout`` audits a
+    Composes the branch, level-schedule and workspace-pool detectors over
+    the plan's own cached structures; when ``threads`` is given,
+    additionally simulates ``plan_update_schedule`` and sanity-checks its
+    accounting.  ``batch_layout`` audits a
     stacked-operand column map alongside the plan (the batched-serving
     schedule: one plan execution, many requesters).
     """
@@ -520,15 +482,6 @@ def analyze_plan(
     # shares_memory-style aliasing argument (HZ-R401/R402 on conflicts).
     report.merge(analyze_ir(lower_kernel_plan(plan, subject=name)))
     report.merge(analyze_pool(plan.pool, subject=name))
-    if watchdog:
-        report.merge(
-            analyze_watchdog(
-                plan.branches,
-                branch_timeout=branch_timeout,
-                deadline=deadline,
-                subject=name,
-            )
-        )
     if batch_layout is not None:
         report.merge(analyze_batch_layout(batch_layout, subject=name))
     if threads is not None:

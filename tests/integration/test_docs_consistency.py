@@ -46,7 +46,7 @@ class TestReadmeApiClaims:
 
     def test_submodule_claims(self):
         from repro.gnn import GCN, GIN, GraphSAGE, SGC, APPNP, make_operator, train_gcn  # noqa: F401
-        from repro.parallel import parallel_matmul, strong_scaling_curve  # noqa: F401
+        from repro.parallel import ThreadedUpdateExecutor, strong_scaling_curve  # noqa: F401
         from repro.graphs import rcm_order, signature_order  # noqa: F401
         from repro.graphs.io import load_edge_list  # noqa: F401
         from repro.core import cut_depth, split_branches  # noqa: F401

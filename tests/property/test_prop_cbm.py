@@ -107,11 +107,12 @@ class TestKernelCorrectness:
     @given(binary_matrices(max_n=12))
     @settings(max_examples=30, deadline=None)
     def test_parallel_executor_matches_sequential(self, d):
-        from repro.parallel.executor import parallel_matmul
+        from repro.parallel.executor import ThreadedUpdateExecutor
 
         a = from_dense(d)
         cbm, _ = build_cbm(a, alpha=0)
+        plan = cbm.plan()
         x = np.random.default_rng(1).random((d.shape[0], 3)).astype(np.float32)
-        assert np.allclose(
-            parallel_matmul(cbm, x, threads=3), cbm.matmul(x), rtol=1e-5, atol=1e-6
-        )
+        c = plan.multiply(x)
+        ThreadedUpdateExecutor(3).run_update(cbm.tree, c, branches=plan.branches)
+        assert np.allclose(c, plan.execute(x), rtol=1e-5, atol=1e-6)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core.builder import build_cbm
+from repro.core.cbm import Variant
 from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import ParallelError
 from repro.parallel.cache import CacheModel, WorkingSet
-from repro.parallel.executor import ThreadedUpdateExecutor, parallel_matmul
+from repro.parallel.executor import ThreadedUpdateExecutor
 from repro.parallel.machine import XEON_GOLD_6130, CacheLevel, MachineSpec
 from repro.parallel.schedule import (
     branch_costs,
@@ -134,13 +135,24 @@ class TestScheduler:
         assert m1 >= m4 >= m16
 
 
+def replayed_product(cbm, x, threads):
+    """``plan.multiply`` then the branch replay: what the benchmark probe
+    times against the plan's own update stage."""
+    plan = cbm.plan()
+    c = plan.multiply(x)
+    diag = cbm.diag if cbm.variant is Variant.DAD else None
+    ThreadedUpdateExecutor(threads).run_update(cbm.tree, c, diag, branches=plan.branches)
+    return c
+
+
 class TestThreadedExecutor:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_matches_sequential(self, threads):
         a = random_adjacency_csr(50, density=0.3, seed=2)
         cbm, _ = build_cbm(a, alpha=0)
         x = np.random.default_rng(0).random((50, 7)).astype(np.float32)
-        out = parallel_matmul(cbm, x, threads=threads)
+        out = replayed_product(cbm, x, threads)
+        np.testing.assert_allclose(out, cbm.plan().execute(x), rtol=1e-5, atol=1e-6)
         assert np.allclose(out, a.toarray() @ x, rtol=1e-4)
 
     def test_dad_variant(self):
@@ -149,8 +161,10 @@ class TestThreadedExecutor:
         d = rng.random(40) + 0.5
         cbm, _ = build_cbm(a, alpha=2, variant="DAD", diag=d)
         x = rng.random((40, 5)).astype(np.float32)
+        out = replayed_product(cbm, x, 4)
+        np.testing.assert_allclose(out, cbm.plan().execute(x), rtol=1e-5, atol=1e-6)
         ref = (d[:, None] * a.toarray() * d) @ x
-        assert np.allclose(parallel_matmul(cbm, x, threads=4), ref, rtol=1e-4)
+        assert np.allclose(out, ref, rtol=1e-4)
 
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):

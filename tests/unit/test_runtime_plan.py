@@ -18,7 +18,7 @@ from repro.core.builder import build_cbm
 from repro.core.tree import VIRTUAL, CompressionTree
 from repro.errors import ShapeError
 from repro.parallel.cache import plan_working_set
-from repro.parallel.executor import ThreadedUpdateExecutor, parallel_matmul
+from repro.parallel.executor import ThreadedUpdateExecutor
 from repro.parallel.schedule import plan_update_schedule
 from repro.runtime import KernelPlan, WorkspacePool, native
 from repro.runtime.plan import apply_level_schedule
@@ -278,8 +278,9 @@ class TestSharedPlanThreadSafety:
         cbm = _make_cbm("DAD")
         plan = cbm.plan()
         x = _operand(N)
-        got = parallel_matmul(cbm, x, threads=4, plan=plan)
-        np.testing.assert_allclose(got, cbm.matmul_unplanned(x), rtol=1e-5, atol=1e-6)
+        got = plan.multiply(x)
+        ThreadedUpdateExecutor(4).run_update(cbm.tree, got, cbm.diag, branches=plan.branches)
+        np.testing.assert_allclose(got, plan.execute(x), rtol=1e-5, atol=1e-6)
 
     def test_executor_accepts_plan_branches(self):
         cbm = _make_cbm("A")

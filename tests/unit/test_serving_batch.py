@@ -28,7 +28,6 @@ import pytest
 from repro.errors import (
     DeadlineExceeded,
     NumericalError,
-    ParallelError,
     ShapeError,
 )
 from repro.gnn.gcn import two_layer_gcn_inference
@@ -481,7 +480,7 @@ class TestBatchFailureIsolation:
         batch = Batch(slot, KIND_PRODUCT)
         batch.members = [fresh, exhausted]
         svc._retry_or_fail_batch(
-            batch, ParallelError("worker died"), np.random.default_rng(0)
+            batch, NumericalError("non-finite product"), np.random.default_rng(0)
         )
 
         # Both charged one attempt; only the one with budget re-enters.
@@ -489,7 +488,7 @@ class TestBatchFailureIsolation:
         assert exhausted.attempts == 3
         assert not fresh.future.done()
         assert svc._collector.pending_count() == 1
-        assert isinstance(exhausted.future.exception(0), ParallelError)
+        assert isinstance(exhausted.future.exception(0), NumericalError)
         snap = svc.stats.snapshot()
         assert snap["retries"] == 1
         assert snap["failed"] == 1

@@ -30,8 +30,6 @@ from repro.staticcheck import (
     lint_source,
     load_baseline,
 )
-from repro.staticcheck.hazards import analyze_watchdog
-
 from tests.conftest import random_adjacency_csr
 
 
@@ -179,18 +177,6 @@ class TestPoolAndWatchdogHazards:
         rep = analyze_pool(pool)
         assert rep.has("HZ-P002")
 
-    def test_watchdog_gap_without_owner(self):
-        branches = [np.array([0, 1]), np.array([2])]
-        rep = analyze_watchdog(branches)
-        assert rep.has("HZ-G001")
-        assert rep.findings[0].severity is Severity.WARNING
-
-    def test_watchdog_covered_by_timeout_or_deadline(self):
-        branches = [np.array([0, 1])]
-        assert analyze_watchdog(branches, branch_timeout=5.0).ok
-        assert analyze_watchdog(branches, deadline=123.0).ok
-        assert analyze_watchdog([]).ok  # nothing to cover
-
 
 class TestScheduleHazards:
     def test_simulated_schedules_are_consistent(self):
@@ -234,7 +220,7 @@ class TestRealPlansAreRaceFree:
     def test_plans_clean(self, seed, alpha):
         a = random_adjacency_csr(48, density=0.2, seed=seed)
         cbm, _ = build_cbm(a, alpha=alpha)
-        rep = analyze_plan(cbm.plan(), threads=4, branch_timeout=10.0)
+        rep = analyze_plan(cbm.plan(), threads=4)
         assert rep.ok, rep.render()
 
     @pytest.mark.parametrize("threads", [1, 2, 4, 16])
