@@ -1,14 +1,15 @@
 """Serving-layer soak benchmark — chaos under concurrent load.
 
-Drives :func:`repro.serving.run_soak` (healthy → chaos → recovery) with
-at least four concurrent client threads against an
+Drives :func:`repro.soak.serve` (healthy → burst → chaos → recovery)
+with at least four concurrent client threads against an
 :class:`~repro.serving.InferenceService` and records the acceptance
 evidence for the serving tier in ``BENCH_PR3.json``:
 
-* zero results diverging from the CSR reference (every success verified
-  client-side against ``spmm(source, x)``);
+* zero results diverging from the CSR reference (every answer checked
+  client-side against ``spmm(source, x)`` as it arrives; NaN is wrong);
 * zero hung requests (every submission resolves to a result or a typed
   error within its deadline budget plus a grace window);
+* the overload burst is shed, and poisoned operands are rejected;
 * the circuit breaker demonstrably trips CBM → guarded-CBM → CSR
   degraded mode after a hot swap to a NaN-poisoned artifact, and
   recovers back to the fast tier through half-open probing once the
@@ -29,34 +30,21 @@ import json
 import pathlib
 import platform
 import time
-import warnings
 
 from repro.graphs.datasets import load_dataset
-from repro.reliability.guard import FallbackWarning
-from repro.serving import run_soak
+from repro.soak import render, serve
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "BENCH_PR3.json"
 
-FULL = dict(
-    dataset="PubMed", alpha=2, clients=6, requests_per_client=25, p=32,
-    deadline_s=3.0, seed=7,
-)
-SMOKE = dict(
-    dataset="Cora", alpha=0, clients=4, requests_per_client=10, p=16,
-    deadline_s=2.0, seed=7,
-)
+FULL = dict(dataset="PubMed", alpha=2, clients=6, requests=25, p=32, deadline_s=3.0, seed=7)
+SMOKE = dict(dataset="Cora", alpha=0, clients=4, requests=10, p=16, deadline_s=2.0, seed=7)
 
 
 def run_workload(cfg: dict) -> dict:
-    """Run the three-phase soak on one dataset; return the JSON record."""
+    """Run the serve soak on one dataset; return the JSON record."""
     cfg = dict(cfg)
-    a = load_dataset(cfg.pop("dataset"))
-    with warnings.catch_warnings():
-        # The chaos phase degrades on purpose; the dedup logic is covered
-        # by the unit tests, the bench only needs the counters.
-        warnings.simplefilter("ignore", FallbackWarning)
-        report = run_soak(a, **cfg)
+    report = serve(load_dataset(cfg.pop("dataset")), **cfg)
     return {
         "benchmark": "serving_soak",
         **report,
@@ -66,33 +54,6 @@ def run_workload(cfg: dict) -> dict:
         },
         "generated_unix": time.time(),
     }
-
-
-def render(record: dict) -> str:
-    w = record["workload"]
-    lines = [
-        f"Serving soak — n={w['nodes']} (alpha={w['alpha']}, "
-        f"{w['clients']} clients x {w['requests_per_client']} req/phase, "
-        f"p={w['feature_width']}, deadline {w['deadline_s']:.1f}s)",
-    ]
-    for ph in record["phases"]:
-        p50 = f"{ph['latency_p50_ms']:7.2f}" if ph["latency_p50_ms"] is not None else "      -"
-        p99 = f"{ph['latency_p99_ms']:7.2f}" if ph["latency_p99_ms"] is not None else "      -"
-        lines.append(
-            f"  {ph['phase']:<9} {ph['requests']:4d} req: {ph['ok']:4d} ok, "
-            f"{ph['wrong']} wrong, {ph['shed']} shed, {ph['hung']} hung, "
-            f"{ph['input_rejected']} rejected | p50 {p50} ms, p99 {p99} ms"
-        )
-    ch, sv, br = record["chaos"], record["service"], record["breaker"]
-    lines.append(
-        f"  chaos: {ch['injected']} on {ch['poisoned_deltas']}/{ch['deltas']} "
-        f"deltas; {sv['retries']} retries, "
-        f"{sv['shed']} shed; breaker {br['transitions']} transitions, "
-        f"final {br['state']}@{br['tier']}"
-    )
-    for key, ok in record["checks"].items():
-        lines.append(f"  [{'ok' if ok else 'FAIL'}] {key}")
-    return "\n".join(lines)
 
 
 def main(argv=None) -> int:

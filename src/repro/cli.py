@@ -21,11 +21,11 @@ Commands
     optional dynamic lock-witness cross-check).  Every subcommand takes
     ``--json`` for a machine-readable report.  Nonzero exit on any
     finding.
-``crash-soak``
-    Kill-9 chaos soak of the persistence tier: writer/trainer workloads
-    SIGKILLed at randomized durability sync points, then recovered and
-    checked against the crash-safety invariants.  Nonzero exit on any
-    violation.
+``soak {serve,batch,stream,crash} [<graph>]``
+    Soak one scenario under load and injected faults (see
+    :mod:`repro.soak`): every answer checked against the CSR reference
+    of the generation that served it, every kill-9 trial against the
+    crash-safety invariants.  Nonzero exit on any failed check.
 ``tune <graph> [-p WIDTH]``
     Race the GCN serving slot's CBM(DAD) plan against float32 CSR at
     the given operand width and print both times and the chosen route.
@@ -262,112 +262,6 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_serve_bench(args) -> int:
-    """Run the chaos-under-load serving soak and print its report.
-
-    Exit code 0 only when every invariant held: zero results diverging
-    from the CSR reference, zero hung requests, overload shed, and the
-    circuit breaker both tripped to the CSR degraded tier while a
-    NaN-poisoned artifact served and recovered to the fast tier through
-    half-open probing once the healthy one was swapped back.
-    """
-    import json
-    import warnings as _warnings
-
-    from repro.reliability.guard import FallbackWarning
-    from repro.serving import run_batched_soak, run_soak
-
-    name, a = _load_graph(args.graph)
-    if args.batched:
-        report = run_batched_soak(
-            a,
-            alpha=args.alpha,
-            clients=args.clients,
-            requests_per_client=args.requests,
-            max_width=args.columns,
-            deadline_s=args.deadline,
-            max_columns=args.max_columns,
-            seed=args.seed,
-        )
-        print(f"batched serving soak — {name} (alpha={args.alpha}, "
-              f"{args.clients} clients, max_width={args.columns}, "
-              f"batch<= {args.max_columns} cols)")
-        rows = []
-        for ph in report["phases"]:
-            rows.append([
-                ph["phase"], ph["requests"], ph["ok"], ph["wrong"],
-                ph["cross_generation"], ph["shed"], ph["deadline_misses"],
-                ph["input_rejected"], ph["errors"], ph["hung"],
-                f"{ph['latency_p50_ms']:.2f}" if ph["latency_p50_ms"] is not None else "-",
-                f"{ph['latency_p99_ms']:.2f}" if ph["latency_p99_ms"] is not None else "-",
-            ])
-        print(format_table(
-            ["phase", "req", "ok", "wrong", "xgen", "shed", "dl", "rej",
-             "err", "hung", "p50 ms", "p99 ms"],
-            rows,
-        ))
-        sv = report["service"]
-        bt = report["batching"]
-        print(f"  service: {sv['batches']} batches, {sv['coalesced']} coalesced, "
-              f"{sv['batch_victims']} batch victims, {sv['retries']} retries, "
-              f"{sv['swaps']} swaps")
-        print(f"  collector: {bt['collector']}")
-        for key, ok in report["checks"].items():
-            print(f"  [{'ok' if ok else 'FAIL'}] {key}")
-        for v in report["violations"]:
-            print(f"  violation: {v}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(report, fh, indent=1, sort_keys=True)
-            print(f"  report written to {args.json}")
-        return 0 if report["ok"] else 1
-    with _warnings.catch_warnings():
-        if not args.verbose:
-            _warnings.simplefilter("ignore", FallbackWarning)
-        report = run_soak(
-            a,
-            alpha=args.alpha,
-            clients=args.clients,
-            requests_per_client=args.requests,
-            p=args.columns,
-            deadline_s=args.deadline,
-            seed=args.seed,
-        )
-    print(f"serving soak — {name} (alpha={args.alpha}, {args.clients} clients, "
-          f"p={args.columns}, deadline {args.deadline:.1f}s)")
-    rows = []
-    for ph in report["phases"]:
-        rows.append([
-            ph["phase"], ph["requests"], ph["ok"], ph["wrong"], ph["shed"],
-            ph["deadline_misses"], ph["input_rejected"], ph["errors"], ph["hung"],
-            f"{ph['latency_p50_ms']:.2f}" if ph["latency_p50_ms"] is not None else "-",
-            f"{ph['latency_p99_ms']:.2f}" if ph["latency_p99_ms"] is not None else "-",
-        ])
-    print(format_table(
-        ["phase", "req", "ok", "wrong", "shed", "dl", "rej", "err", "hung",
-         "p50 ms", "p99 ms"],
-        rows,
-    ))
-    br = report["breaker"]
-    ch = report["chaos"]
-    sv = report["service"]
-    print(f"  breaker: {br['state']} at tier {br['tier']}, "
-          f"{br['transitions']} transitions")
-    print(f"  chaos: {ch['injected']} on {ch['poisoned_deltas']} of "
-          f"{ch['deltas']} deltas")
-    print(f"  service: {sv['retries']} retries, {sv['shed']} shed, "
-          f"{sv['swaps']} swaps")
-    for key, ok in report["checks"].items():
-        print(f"  [{'ok' if ok else 'FAIL'}] {key}")
-    for v in report["violations"]:
-        print(f"  violation: {v}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-        print(f"  report written to {args.json}")
-    return 0 if report["ok"] else 1
-
-
 def _emit_check_reports(reports, json_path, verbose) -> int:
     """Render audit reports, optionally write JSON, return the exit code.
 
@@ -530,9 +424,9 @@ def cmd_check_concurrency(args) -> int:
     """Whole-stack concurrency verification: IR audits + SC7xx lock pass.
 
     Lowers every plan shape the benchmarks construct — kernel plans
-    (threaded branch replay and sequential level schedules, each with a
-    prospective fused row-scaling stage), the stacked-operand batch
-    layout, and the streaming snapshot/rebuild/publish protocol — into the
+    (threaded branch replay and sequential level schedules), the
+    stacked-operand batch layout, and the streaming
+    snapshot/rebuild/publish protocol — into the
     unified IR and proves each free of span-discipline violations and
     happens-before races (HZ-R4xx).  Then runs the lock-order and
     blocking-call analysis (SC7xx) over the source tree, and with
@@ -542,7 +436,6 @@ def cmd_check_concurrency(args) -> int:
     """
     from repro.serving.batching import BatchConfig, BatchLayout
     from repro.staticcheck import (
-        FusedStage,
         analyze_ir,
         analyze_locks,
         cross_check,
@@ -562,7 +455,6 @@ def cmd_check_concurrency(args) -> int:
         name, a = _load_graph(spec)
         cbm, _ = build_cbm(a, alpha=args.alpha)
         plan = cbm.plan()
-        fused = (FusedStage("row-scale", branch=0),) if plan.branches else ()
         for threaded in (True, False):
             mode = "threaded" if threaded else "sequential"
             reports.append(
@@ -570,7 +462,6 @@ def cmd_check_concurrency(args) -> int:
                     lower_kernel_plan(
                         plan,
                         threaded=threaded,
-                        fused=fused if threaded else (),
                         subject=f"{name}(alpha={args.alpha},{mode})",
                     )
                 )
@@ -600,127 +491,39 @@ def cmd_check_concurrency(args) -> int:
     return _emit_check_reports(reports, args.json, args.verbose)
 
 
-def cmd_crash_soak(args) -> int:
-    """Kill-9 soak of the persistence tier (see repro.recovery.crashsim).
+def cmd_soak(args) -> int:
+    """Run one soak scenario (:mod:`repro.soak`) and print its report.
 
-    Exit 0 only when every durability invariant held across all trials:
-    no committed generation lost, latest() never corrupt, every torn
-    temp file quarantined, recovery time within budget.  With
-    ``--break-protocol`` the harness runs a deliberately buggy writer
-    and the expected outcome inverts: a nonzero exit proves the
-    invariant checks detect the bug.
+    Options the user leaves out take the scenario's defaults; one the
+    scenario does not take is an error.  Exit 0 only when every check
+    passed and no violation was recorded, so ``crash --break-protocol``
+    must exit 1.
     """
+    import inspect
     import json
 
-    from repro.recovery.crashsim import run_soak
+    from repro.soak import SCENARIOS, render
 
-    def progress(done, total, trial):
-        if args.verbose:
-            status = "ok" if trial.ok else "VIOLATION"
-            print(
-                f"  [{done:3d}/{total}] {trial.workload:8s} crash_at={trial.crash_at:3d} "
-                f"{'killed' if trial.killed else 'clean '} "
-                f"committed={len(trial.announced)} kept={len(trial.kept)} "
-                f"quarantined={trial.quarantined} {status}"
-            )
-
-    workloads = (
-        ("archive",)
-        if args.break_protocol
-        else ("archive", "trainer", "multi", "streaming")
-    )
-    report = run_soak(
-        trials=args.trials,
-        seed=args.seed,
-        workloads=workloads,
-        iterations=args.iterations,
-        break_protocol=args.break_protocol,
-        recovery_budget_s=args.recovery_budget,
-        progress=progress,
-    )
-    print(f"crash soak — {report['trials']} trials, "
-          f"{report['killed']} SIGKILLed, {report['clean_exits']} clean exits "
-          f"({report['elapsed_s']:.1f}s)")
-    print(f"  commits observed        {report['commits_observed']}")
-    print(f"  generations quarantined {report['generations_quarantined']}")
-    print(f"  stray tmp quarantined   {report['stray_tmp_quarantined']}")
-    print(f"  max recovery time       {report['max_recovery_s'] * 1e3:.1f} ms "
-          f"(budget {report['recovery_budget_s']:.1f}s)")
-    for name, stats in report["workloads"].items():
-        print(f"  {name:8s} trials={stats['trials']} kills={stats['kills']} "
-              f"violations={stats['violations']}")
-    for v in report["violations"]:
-        print(f"  violation: {v}")
-    print(f"  {'OK' if report['ok'] else 'FAIL'}: "
-          f"{len(report['violations'])} violated invariant(s)")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-        print(f"  report written to {args.json}")
-    return 0 if report["ok"] else 1
-
-
-def cmd_stream_soak(args) -> int:
-    """Mutation-storm soak of the streaming tier (repro.streaming.soak).
-
-    Concurrent edge mutations + batched inference + background rebuilds
-    + kill-9 rebuild crashes over one live system.  Exit 0 only when
-    every served result bitwise-matched a published generation within
-    the staleness budget, no request was dropped or hung, every crashed
-    rebuild recovered or quarantined, the pinned generation survived
-    retention pruning, and both the patched and the rebuilt artifacts
-    passed their static audits.
-    """
-    import json
-
-    from repro.streaming import run_mutation_soak
-
-    a = None
+    run = SCENARIOS[args.scenario]
+    given = {k: getattr(args, k) for k in ("clients", "requests", "trials", "seed")
+             if getattr(args, k) is not None}
+    if args.break_protocol:
+        given["break_protocol"] = True
     if args.graph:
-        _, a = _load_graph(args.graph)
-
-    def progress(msg):
-        if args.verbose:
-            print(f"  {msg}")
-
-    report = run_mutation_soak(
-        a,
-        seed=args.seed,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        mutator_batches=args.mutations,
-        edges_per_batch=args.edges,
-        staleness_budget=args.staleness_budget,
-        max_drift=args.max_drift,
-        crash_trials=args.crash_trials,
-        min_requests=args.min_requests,
-        progress=progress,
-    )
-    w = report["workload"]
-    print(
-        f"mutation soak — {w['nodes']} nodes, {w['nnz_initial']} edges, "
-        f"{w['clients']} clients ({report['elapsed_s']:.1f}s)"
-    )
-    print(f"  requests served        {report['requests']} "
-          f"(verified {report['verified_ok']}, wrong {report['wrong']}, "
-          f"hung {report['hung']}, dropped {report['dropped']}, "
-          f"errors {report['errors']})")
-    print(f"  patches applied        {report['patches_applied']} "
-          f"(p50 {report['patch_p50_ms'] or 0:.2f} ms, "
-          f"max staleness {report['max_staleness']}/{w['staleness_budget']})")
-    print(f"  rebuilds completed     {report['rebuilds']} "
-          f"(wall {report['rebuild_wall_s']})")
-    print(f"  generations committed  {report['generations_committed']}")
-    for t in report["crash"]:
-        print(f"  crash trial            crash_at={t['crash_at']} "
-              f"{'killed' if t['killed'] else 'clean'} kept={t['kept']} "
-              f"quarantined={t['quarantined']} {'ok' if t['ok'] else 'VIOLATION'}")
-    for name, ok in report["checks"].items():
-        print(f"  {'PASS' if ok else 'FAIL'}  {name}")
-    for v in report["violations"]:
-        print(f"  violation: {v}")
-    print(f"  {'OK' if report['ok'] else 'FAIL'}: "
-          f"{len(report['violations'])} violation(s)")
+        given["a"] = args.graph
+    if args.verbose:
+        given["progress"] = lambda msg: print(f"  {msg}", flush=True)
+    params = inspect.signature(run).parameters
+    extra = sorted(given.keys() - params.keys())
+    if extra:
+        names = ", ".join("a graph" if k == "a" else "--" + k.replace("_", "-") for k in extra)
+        raise SystemExit(f"soak {args.scenario} does not take {names}")
+    if "a" in params and params["a"].default is params["a"].empty and "a" not in given:
+        raise SystemExit(f"soak {args.scenario} needs a graph")
+    if args.graph:
+        given["a"] = _load_graph(args.graph)[1]
+    report = run(**given)
+    print(render(report))
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True, default=str)
@@ -878,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc = check_sub.add_parser(
         "concurrency",
         help="whole-stack concurrency verifier: lower every plan shape "
-        "(kernel plans, batch layouts, streaming swaps, "
-        "prospective fused stages) into the unified IR, prove each free "
-        "of span violations and happens-before races (HZ-R4xx), and run "
+        "(kernel plans, batch layouts, streaming swaps) into the "
+        "unified IR, prove each free of span violations and "
+        "happens-before races (HZ-R4xx), and run "
         "the lock-order/deadlock analysis over the source tree (SC7xx)",
     )
     pc.add_argument(
@@ -919,54 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--json", help="write the structured audit report here")
     pc.add_argument("--verbose", action="store_true", help="print passed checks too")
     pc.set_defaults(fn=cmd_check_concurrency)
-
-    p = sub.add_parser(
-        "crash-soak",
-        help="kill-9 soak of the persistence tier: SIGKILL writer/trainer "
-        "workloads at randomized sync points, recover, and assert the "
-        "durability invariants (nonzero exit on any violation)",
-    )
-    p.add_argument("--trials", type=int, default=60, help="spawn/kill/recover cycles")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=3,
-                   help="commits each worker attempts before exiting cleanly")
-    p.add_argument("--recovery-budget", type=float, default=10.0,
-                   help="max seconds a single recovery may take")
-    p.add_argument("--break-protocol", action="store_true",
-                   help="run the deliberately buggy commit-marker-first writer; "
-                   "the soak must then FAIL (negative control)")
-    p.add_argument("--json", help="write the full JSON report here")
-    p.add_argument("--verbose", action="store_true", help="print every trial")
-    p.set_defaults(fn=cmd_crash_soak)
-
-    p = sub.add_parser(
-        "stream-soak",
-        help="mutation-storm soak of the streaming tier: concurrent edge "
-        "mutations + batched inference + background rebuilds + kill-9 "
-        "rebuild crashes, with bitwise verification of every served "
-        "result (nonzero exit on any violation)",
-    )
-    p.add_argument("--graph", default=None,
-                   help="dataset name or .npz path (default: synthetic graph)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--requests", type=int, default=40,
-                   help="storm-phase requests per client")
-    p.add_argument("--mutations", type=int, default=18,
-                   help="edge batches applied by the mutator")
-    p.add_argument("--edges", type=int, default=3,
-                   help="insertions and deletions per batch")
-    p.add_argument("--staleness-budget", type=int, default=12,
-                   help="max patch batches a served snapshot may lag")
-    p.add_argument("--max-drift", type=float, default=0.2,
-                   help="fractional op-count growth that triggers a rebuild")
-    p.add_argument("--crash-trials", type=int, default=3,
-                   help="kill-9 rebuild trials after the storm")
-    p.add_argument("--min-requests", type=int, default=200,
-                   help="fail the soak if fewer requests were served")
-    p.add_argument("--json", help="write the full JSON report here")
-    p.add_argument("--verbose", action="store_true", help="print phase progress")
-    p.set_defaults(fn=cmd_stream_soak)
 
     p = sub.add_parser(
         "tune",
@@ -1011,27 +766,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
-        "serve-bench",
-        help="chaos-under-load soak of the serving layer (queue, deadlines, "
-        "retries, circuit breaker); nonzero exit on any violated invariant",
+        "soak",
+        help="soak one scenario under load and injected faults: serve (chaos "
+        "under load), batch (coalescing through a swap storm), stream "
+        "(mutation storm with kill-9 rebuilds) or crash (kill-9 trials of "
+        "the persistence tier); nonzero exit on any failed check",
     )
-    p.add_argument("graph")
-    p.add_argument("-a", "--alpha", type=int, default=0)
-    p.add_argument("-p", "--columns", type=int, default=16)
-    p.add_argument("--clients", type=int, default=4, help="concurrent client threads")
-    p.add_argument("--requests", type=int, default=15, help="requests per client per phase")
-    p.add_argument("--deadline", type=float, default=2.0, help="per-request budget (s)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batched", action="store_true",
-                   help="run the mixed-widths / swap-storm / poison scenario "
-                   "instead: coalescing under load, generation purity across "
-                   "hot swaps, and poisoned-member attribution")
-    p.add_argument("--max-columns", type=int, default=32,
-                   help="--batched scenario: stacked-operand column cap per batch")
+    p.add_argument("scenario", choices=("serve", "batch", "stream", "crash"))
+    p.add_argument("graph", nargs="?",
+                   help="dataset name or .mtx path (serve and batch need one; "
+                   "stream defaults to a synthetic graph)")
+    p.add_argument("--clients", type=_count, help="concurrent client threads")
+    p.add_argument("--requests", type=_count, help="requests per client and phase")
+    p.add_argument("--trials", type=_count, help="kill-9 trials (crash, stream)")
+    p.add_argument("--break-protocol", action="store_true",
+                   help="crash: run the commit-marker-first writer; the soak "
+                   "must then FAIL (negative control)")
+    p.add_argument("--seed", type=int)
     p.add_argument("--json", help="also write the full JSON report here")
-    p.add_argument("--verbose", action="store_true",
-                   help="let the guard's FallbackWarnings through to stderr")
-    p.set_defaults(fn=cmd_serve_bench)
+    p.add_argument("--verbose", action="store_true", help="print each phase and trial")
+    p.set_defaults(fn=cmd_soak)
     return parser
 
 

@@ -13,8 +13,8 @@ this package makes the *on-disk* state hold up under real process death:
   written last) is the commit marker; startup :meth:`~GenerationStore.recover`
   re-validates candidates (CRC + static artifact audit) and quarantines
   torn or uncommitted state instead of deleting it.
-* :mod:`repro.recovery.crashsim` — the kill-9 chaos harness behind
-  ``repro crash-soak``: subprocess workloads SIGKILLed at randomized
+* :mod:`repro.recovery.crashsim` — the kill-9 trial behind
+  ``repro soak crash``: subprocess workloads SIGKILLed at randomized
   sync points (including mid-``os.replace``), then recovery invariants
   asserted — no committed generation lost, ``latest()`` never corrupt,
   all torn temp files quarantined, recovery time bounded.

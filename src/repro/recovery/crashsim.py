@@ -15,21 +15,27 @@ durability invariants:
 
 1. **No committed generation is ever lost** — every generation the
    worker announced as committed (after its commit returned) is still
-   present and validates.
-2. **latest() is never corrupt** — after recovery the newest committed
+   present.
+2. **Every surviving generation validates.**
+3. **latest() is never corrupt** — after recovery the newest committed
    generation loads end-to-end (``load_cbm`` for archives,
    ``load_checkpoint`` for training state).
-3. **All torn temp files are quarantined** — no ``*.tmp-atomic`` debris
+4. **All torn temp files are quarantined** — no ``*.tmp-atomic`` debris
    survives outside ``quarantine/``.
-4. **Recovery time is bounded.**
+5. **Recovery time is bounded** (:data:`RECOVERY_BUDGET_S`).
+6. **The worker was killed or exited clean** — a worker that hangs or
+   fails on its own is a finding.
 
-``--break-protocol`` deliberately runs a *buggy* writer that puts the
+``break_protocol`` deliberately runs a *buggy* writer that puts the
 commit marker before the payload (the classic torn-write bug this tier
 exists to prevent); the harness must then detect a lost committed
-generation and exit nonzero — proving the invariant checks have teeth.
+generation — proving the invariant checks have teeth.
 
-Surfaced as ``repro crash-soak`` (see :mod:`repro.cli`); the worker
-entry point is this module itself::
+:func:`run_trial` runs one such cycle; ``repro soak crash``
+(:func:`repro.soak.crash`) draws randomized trials over every workload
+and ``repro soak stream`` kills rebuild workers on its live store.  Each
+invariant is named in :data:`TRIAL_CHECKS`.  The worker entry point is
+this module itself::
 
     python -m repro.recovery.crashsim --worker archive --root DIR \
         --crash-at 5 --seed 1
@@ -43,13 +49,26 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, field
 
 from repro.recovery import atomic
 from repro.recovery.store import GenerationStore
 
 WORKLOADS = ("archive", "trainer", "multi", "streaming")
+
+#: Seconds one recovery may take, and one worker may run.
+RECOVERY_BUDGET_S = 10.0
+WORKER_TIMEOUT_S = 120.0
+
+#: The invariants a trial checks, as named in :attr:`TrialResult.failed`.
+TRIAL_CHECKS = (
+    "committed_generations_kept",
+    "survivors_verify",
+    "latest_loads",
+    "torn_tmp_quarantined",
+    "recovery_within_budget",
+    "worker_killed_or_clean",
+)
 
 #: Sync points per store commit: one payload ``atomic_write`` (3) + the
 #: ``commit`` marker point (1) + the manifest ``atomic_write`` (3).
@@ -266,11 +285,17 @@ class TrialResult:
     stray_tmp: int = 0
     recovery_s: float = 0.0
     violations: list = field(default_factory=list)
+    failed: list = field(default_factory=list)  # the TRIAL_CHECKS violated
     root: str | None = None  # preserved store root of a violating trial
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def fail(self, check: str, message: str) -> None:
+        """Record a violation of the invariant ``check`` (a TRIAL_CHECKS name)."""
+        self.failed.append(check)
+        self.violations.append(message)
 
 
 def _find_tmp_debris(root: str) -> list[str]:
@@ -316,8 +341,6 @@ def run_trial(
     iterations: int = 3,
     root: str | None = None,
     break_protocol: bool = False,
-    recovery_budget_s: float = 10.0,
-    worker_timeout_s: float = 120.0,
     graph: str | None = None,
 ) -> TrialResult:
     """Spawn one worker, let the hook SIGKILL it, recover, assert.
@@ -341,8 +364,6 @@ def run_trial(
             seed=seed,
             iterations=iterations,
             break_protocol=break_protocol,
-            recovery_budget_s=recovery_budget_s,
-            worker_timeout_s=worker_timeout_s,
             graph=graph,
         )
     finally:
@@ -364,8 +385,6 @@ def _run_trial_inner(
     seed: int,
     iterations: int,
     break_protocol: bool,
-    recovery_budget_s: float,
-    worker_timeout_s: float,
     graph: str | None = None,
 ) -> TrialResult:
     cmd = [
@@ -392,14 +411,17 @@ def _run_trial_inner(
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     try:
         proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=worker_timeout_s, env=env
+            cmd, capture_output=True, text=True, timeout=WORKER_TIMEOUT_S, env=env
         )
     except subprocess.TimeoutExpired:
-        result.violations.append(f"worker hung past {worker_timeout_s}s and was killed")
+        result.fail(
+            "worker_killed_or_clean", f"worker hung past {WORKER_TIMEOUT_S}s and was killed"
+        )
         return result
     result.killed = proc.returncode == -signal.SIGKILL
     if not result.killed and proc.returncode != 0:
-        result.violations.append(
+        result.fail(
+            "worker_killed_or_clean",
             f"worker failed with exit {proc.returncode} (not a kill): "
             f"{proc.stderr.strip()[-400:]}"
         )
@@ -417,7 +439,8 @@ def _run_trial_inner(
 
     lost = sorted(set(result.announced) - set(result.kept))
     if lost:
-        result.violations.append(
+        result.fail(
+            "committed_generations_kept",
             f"committed generation(s) {lost} lost after recovery "
             f"(announced {result.announced}, kept {result.kept})"
         )
@@ -425,108 +448,26 @@ def _run_trial_inner(
         try:
             gen.verify()
         except Exception as exc:  # noqa: BLE001 - any failure is the finding
-            result.violations.append(
+            result.fail(
+                "survivors_verify",
                 f"generation {gen.index} survived recovery but fails "
                 f"verification: {exc}"
             )
     load_error = _check_latest_loads(store, "broken" if break_protocol else workload)
     if load_error is not None:
-        result.violations.append(load_error)
+        result.fail("latest_loads", load_error)
     debris = _find_tmp_debris(root)
     if debris:
-        result.violations.append(
-            f"torn temp file(s) not quarantined: {[os.path.basename(d) for d in debris]}"
+        result.fail(
+            "torn_tmp_quarantined",
+            f"torn temp file(s) not quarantined: {[os.path.basename(d) for d in debris]}",
         )
-    if report.elapsed_s > recovery_budget_s:
-        result.violations.append(
-            f"recovery took {report.elapsed_s:.3f}s > budget {recovery_budget_s:.3f}s"
+    if report.elapsed_s > RECOVERY_BUDGET_S:
+        result.fail(
+            "recovery_within_budget",
+            f"recovery took {report.elapsed_s:.3f}s > budget {RECOVERY_BUDGET_S:.3f}s",
         )
     return result
-
-
-def run_soak(
-    *,
-    trials: int = 60,
-    seed: int = 0,
-    workloads: tuple = WORKLOADS,
-    iterations: int = 3,
-    break_protocol: bool = False,
-    recovery_budget_s: float = 10.0,
-    progress=None,
-) -> dict:
-    """Run ``trials`` randomized kill-9 cycles; return the full report.
-
-    Each trial gets a fresh store root, a workload drawn round-robin,
-    and a crash point drawn uniformly over the workload's sync-point
-    span (plus a margin so some trials complete un-killed and exercise
-    the clean path).
-    """
-    import random
-
-    rng = random.Random(seed)
-    per_workload: dict[str, dict] = {
-        w: {"trials": 0, "kills": 0, "violations": 0} for w in workloads
-    }
-    violations: list = []
-    killed = commits = quarantined = stray = 0
-    max_recovery_s = 0.0
-    crash_points_hit = 0
-    t0 = time.perf_counter()
-    for k in range(trials):
-        workload = workloads[k % len(workloads)]
-        if break_protocol:
-            # The buggy writer has one sync point per iteration, between
-            # the premature commit marker and the payload bytes — always
-            # kill inside that window so every trial demonstrates the bug.
-            crash_at = rng.randint(1, iterations)
-        else:
-            span = _POINTS_PER_COMMIT * iterations
-            if workload == "multi":
-                span = (3 * 3 + 4) * iterations  # 3 payload writes + commit + manifest
-            crash_at = rng.randint(1, span + 3)  # margin: some trials finish clean
-        trial = run_trial(
-            workload,
-            crash_at=crash_at,
-            seed=rng.randint(0, 2**31 - 1),
-            iterations=iterations,
-            break_protocol=break_protocol,
-            recovery_budget_s=recovery_budget_s,
-        )
-        per_workload[workload]["trials"] += 1
-        if trial.killed:
-            killed += 1
-            crash_points_hit += 1
-            per_workload[workload]["kills"] += 1
-        commits += len(trial.announced)
-        quarantined += trial.quarantined
-        stray += trial.stray_tmp
-        max_recovery_s = max(max_recovery_s, trial.recovery_s)
-        if trial.violations:
-            per_workload[workload]["violations"] += len(trial.violations)
-            where = f"[{workload} crash_at={trial.crash_at}"
-            if trial.root:
-                where += f" root={trial.root}"
-            violations.extend(f"{where}] {v}" for v in trial.violations)
-        if progress is not None:
-            progress(k + 1, trials, trial)
-    return {
-        "benchmark": "crash_soak",
-        "trials": trials,
-        "seed": seed,
-        "iterations_per_trial": iterations,
-        "break_protocol": break_protocol,
-        "killed": killed,
-        "clean_exits": trials - killed,
-        "commits_observed": commits,
-        "generations_quarantined": quarantined,
-        "stray_tmp_quarantined": stray,
-        "max_recovery_s": max_recovery_s,
-        "recovery_budget_s": recovery_budget_s,
-        "workloads": per_workload,
-        "violations": violations,
-        "elapsed_s": time.perf_counter() - t0,
-        "ok": not violations,
-    }
 
 
 def main(argv=None) -> int:
@@ -553,7 +494,7 @@ def main(argv=None) -> int:
             graph=args.graph,
         )
         return 0
-    ap.error("this module is the worker entry point; use `repro crash-soak` to drive it")
+    ap.error("this module is the worker entry point; use `repro soak crash` to drive it")
     return 2  # pragma: no cover - argparse exits above
 
 

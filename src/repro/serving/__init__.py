@@ -28,7 +28,6 @@ from repro.serving.service import (
     ServiceState,
     ServiceStats,
 )
-from repro.serving.soak import run_batched_soak, run_soak
 
 __all__ = [
     "KIND_GCN",
@@ -49,6 +48,4 @@ __all__ = [
     "ServiceStats",
     "is_transient",
     "quantize_columns",
-    "run_batched_soak",
-    "run_soak",
 ]

@@ -25,7 +25,7 @@ the artifact or the code alone, before any kernel runs:
   on stale entries.
 * :mod:`repro.staticcheck.ir` — the unified plan IR: every concurrent
   schedule the repo produces (kernel plans, batch layouts, streaming
-  swaps, prospective fused stages) lowers to one
+  swaps) lowers to one
   stage/buffer/interval representation audited by a single engine.
 * :mod:`repro.staticcheck.hb` — happens-before race analysis over the
   IR: builds the HB graph from lane order, explicit edges, and
@@ -57,7 +57,6 @@ from repro.staticcheck.hb import HBGraph, analyze_hb
 from repro.staticcheck.ir import (
     Access,
     Buffer,
-    FusedStage,
     PlanIR,
     SpanPolicy,
     Stage,
@@ -86,7 +85,6 @@ __all__ = [
     "AuditReport",
     "Buffer",
     "Finding",
-    "FusedStage",
     "HBGraph",
     "LockGraph",
     "LockWitness",

@@ -23,13 +23,6 @@ of them into ONE representation so a single engine can prove them safe:
   ``analyze_batch_layout`` performed) plus the happens-before race and
   commit-order analysis from :mod:`repro.staticcheck.hb` (HZ-R4xx).
 
-:class:`FusedStage` is the forward-looking descriptor for ROADMAP item 5
-(the fusion pass): an epilogue fused into a branch's replay declares the
-rows it touches, and the engine proves the fusion race-free — the rows
-must be owned by that branch, otherwise the fused work conflicts with
-another lane and HZ-R401/R402 fire.  The fusion pass can therefore be
-built on plans this module has already verified.
-
 Everything here is symbolic: no kernel runs and no thread spawns.
 """
 
@@ -170,25 +163,6 @@ class PlanIR:
                 self.stages[i] = replace(s, **changes)
                 return self.stages[i]
         raise KeyError(sid)
-
-
-@dataclass(frozen=True)
-class FusedStage:
-    """Descriptor of an epilogue fused into the update stage (ROADMAP 5).
-
-    ``kind`` names the fused work (``"row-scale"``, ``"activation"``,
-    ``"bias"`` — the engine does not interpret it); ``branch`` selects
-    the branch whose replay absorbs the epilogue (``None`` = fused after
-    the join, which is always safe); ``rows`` are the rows the epilogue
-    reads and writes (``None`` = exactly the branch's own rows, the
-    provably safe default).  Lowering folds the accesses into the branch
-    stage, so a fusion touching rows outside the branch conflicts with
-    another lane and the race analysis rejects the plan.
-    """
-
-    kind: str
-    branch: int | None = None
-    rows: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +336,6 @@ def lower_kernel_plan(
     plan,
     *,
     threaded: bool = True,
-    fused: tuple = (),
     subject: str | None = None,
 ) -> PlanIR:
     """Lower a :class:`KernelPlan`'s execution into the IR.
@@ -376,11 +349,6 @@ def lower_kernel_plan(
     schedules lower to one lane in level order (race-free by
     construction; intra-level fancy-index hazards stay with
     ``analyze_level_schedule``, which reasons below span granularity).
-
-    ``fused`` takes :class:`FusedStage` descriptors (ROADMAP item 5) and
-    folds their accesses into the chosen branch's stage, so an unsafe
-    fusion — touching rows another lane owns — is rejected before the
-    fusion pass exists.
     """
     n_rows = int(plan.shape[0])
     name = subject or f"plan-ir({plan.update_path})"
@@ -399,30 +367,19 @@ def lower_kernel_plan(
     parent = np.asarray(plan._parent, dtype=np.int64).ravel()
     branch_sids: list[str] = []
     if threaded:
-        folded: dict[int, list[FusedStage]] = {}
-        for f in fused:
-            if f.branch is not None:
-                folded.setdefault(int(f.branch), []).append(f)
         for i, branch in enumerate(plan.branches):
             rows = np.asarray(branch, dtype=np.int64).ravel()
             in_range = rows[(rows >= 0) & (rows < n_rows)]
             parents = parent[in_range]
             parents = parents[(parents != VIRTUAL) & (parents >= 0)]
-            reads = [Access("c", rows_to_spans(parents), mode="r")]
-            writes = [Access("c", rows_to_spans(in_range))]
-            for f in folded.get(i, ()):
-                frows = in_range if f.rows is None else np.asarray(f.rows)
-                fspans = rows_to_spans(frows)
-                reads.append(Access("c", fspans, mode="r", label=f"fused:{f.kind}"))
-                writes.append(Access("c", fspans, label=f"fused:{f.kind}"))
             sid = f"branch{i}"
             branch_sids.append(sid)
             ir.add_stage(
                 Stage(
                     sid=sid,
                     lane=f"worker{i}",
-                    reads=tuple(reads),
-                    writes=tuple(writes),
+                    reads=(Access("c", rows_to_spans(parents), mode="r"),),
+                    writes=(Access("c", rows_to_spans(in_range)),),
                     after=("multiply",),
                     label=f"replay branch {i} ({rows.size} rows)",
                 )
@@ -442,16 +399,11 @@ def lower_kernel_plan(
                     label=f"level {li} vectorised scatter",
                 )
             )
-    post = [f for f in fused if f.branch is None]
-    post_access = tuple(
-        Access("c", spans_of((0, n_rows)), label=f"fused:{f.kind}") for f in post
-    )
     ir.add_stage(
         Stage(
             sid="finalize",
             lane="main",
             reads=(Access("c", spans_of((0, n_rows)), mode="r"),),
-            writes=post_access,
             after=tuple(branch_sids) or ("multiply",),
             label="join + epilogue (row scaling / output hand-off)",
         )

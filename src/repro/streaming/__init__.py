@@ -16,14 +16,14 @@ Public surface:
 * :class:`DriftPolicy` / :class:`DriftTracker` — drift/staleness
   metering and backpressure (``drift``);
 * :class:`BackgroundRebuilder` / :func:`publish_snapshot` — off-path
-  recompression and zero-downtime publication (``rebuild``);
-* :func:`run_mutation_soak` — the mutation-storm chaos soak (``soak``).
+  recompression and zero-downtime publication (``rebuild``).
+
+The mutation-storm soak is :func:`repro.soak.stream` (``repro soak stream``).
 """
 
 from repro.streaming.drift import DriftPolicy, DriftTracker
 from repro.streaming.mutable import EdgeBatch, MutableAdjacency, PatchReport, patch_cbm
 from repro.streaming.rebuild import BackgroundRebuilder, RebuildReport, publish_snapshot
-from repro.streaming.soak import run_mutation_soak
 
 __all__ = [
     "BackgroundRebuilder",
@@ -35,5 +35,4 @@ __all__ = [
     "RebuildReport",
     "patch_cbm",
     "publish_snapshot",
-    "run_mutation_soak",
 ]

@@ -14,13 +14,11 @@ being clean.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.builder import build_cbm
 from repro.staticcheck import (
     Access,
-    FusedStage,
     analyze_ir,
     lint_source,
     lower_batch_layout,
@@ -67,8 +65,9 @@ def _codes_of(report) -> set[str]:
 #
 # Each detector seeds exactly one defect and returns the codes the
 # verifier reported.  Expected prefixes, not exact codes, so a defect
-# caught under a sibling rule (e.g. R401 vs R402 for an unsafe fusion)
-# still counts as detected — but a silent pass never does.
+# caught under a sibling rule (e.g. R401 vs R402 for a branch writing
+# another branch's rows) still counts as detected — but a silent pass
+# never does.
 
 
 def _mut_batch_overlap():
@@ -110,13 +109,14 @@ def _mut_kernel_dropped_join():
     return _codes_of(analyze_ir(ir))
 
 
-def _mut_kernel_unsafe_fusion():
+def _mut_kernel_branch_writes_foreign_rows():
     plan = _kernel_plan()
     if len(plan.branches) < 2:
         pytest.skip("plan has fewer than two branches")
-    n = int(plan.shape[0])
-    fused = (FusedStage("row-scale", branch=0, rows=np.arange(n)),)
-    return _codes_of(analyze_ir(lower_kernel_plan(plan, fused=fused)))
+    ir = lower_kernel_plan(plan)
+    # branch 0 widened to write every row, its siblings' rows included
+    ir.replace_stage("branch0", writes=(Access("c", spans_of((0, int(plan.shape[0])))),))
+    return _codes_of(analyze_ir(ir))
 
 
 def _mut_kernel_lost_barrier():
@@ -229,7 +229,7 @@ CATALOG = [
     ("batch-unowned-gap", "HZ-X003", _mut_batch_gap),
     ("batch-zero-width", "HZ-X004", _mut_batch_zero_width),
     ("kernel-dropped-join", "HZ-R4", _mut_kernel_dropped_join),
-    ("kernel-unsafe-fusion", "HZ-R4", _mut_kernel_unsafe_fusion),
+    ("kernel-branch-writes-foreign-rows", "HZ-R4", _mut_kernel_branch_writes_foreign_rows),
     ("kernel-lost-dispatch-barrier", "HZ-R4", _mut_kernel_lost_barrier),
     ("stream-serve-before-publish", "HZ-R402", _mut_stream_serve_early),
     ("stream-commit-before-build", "HZ-R403", _mut_stream_commit_first),
@@ -277,14 +277,6 @@ class TestCleanControls:
 
     def test_kernel_plan_clean(self):
         rep = analyze_ir(lower_kernel_plan(_kernel_plan()))
-        assert rep.findings == [], rep.render()
-
-    def test_kernel_plan_safe_fusion_clean(self):
-        plan = _kernel_plan()
-        fused = (
-            (FusedStage("row-scale", branch=0),) if len(plan.branches) else ()
-        )
-        rep = analyze_ir(lower_kernel_plan(plan, fused=fused))
         assert rep.findings == [], rep.render()
 
     def test_batch_layout_clean(self):

@@ -1,7 +1,7 @@
 """Unit tests for the unified concurrency IR and its engine.
 
 Covers the IR node types and span helpers, each lowering (kernel plan,
-batch layout, streaming swap, fused stages), the
+batch layout, streaming swap), the
 happens-before race analysis (HZ-R401/R402), and the commit-coverage
 protocol check (HZ-R403) — both on clean plans (every verdict must be
 clean) and on hand-mutated ones (every seeded defect must be found).
@@ -9,14 +9,12 @@ clean) and on hand-mutated ones (every seeded defect must be found).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.builder import build_cbm
 from repro.staticcheck import (
     Access,
     Buffer,
-    FusedStage,
     PlanIR,
     SpanPolicy,
     Stage,
@@ -201,24 +199,13 @@ class TestKernelPlanLowering:
         rep = analyze_ir(lower_kernel_plan(cbm_plan, threaded=False))
         assert rep.ok, rep.render()
 
-    def test_fused_stage_on_own_branch_is_safe(self, cbm_plan):
-        if not len(cbm_plan.branches):
-            pytest.skip("plan has no branches")
-        fused = (FusedStage("row-scale", branch=0),)
-        rep = analyze_ir(lower_kernel_plan(cbm_plan, fused=fused))
-        assert rep.ok, rep.render()
-
-    def test_fused_stage_after_join_is_safe(self, cbm_plan):
-        fused = (FusedStage("activation", branch=None),)
-        rep = analyze_ir(lower_kernel_plan(cbm_plan, fused=fused))
-        assert rep.ok, rep.render()
-
-    def test_fused_stage_stealing_foreign_rows_is_rejected(self, cbm_plan):
+    def test_branch_writing_foreign_rows_is_rejected(self, cbm_plan):
         if len(cbm_plan.branches) < 2:
             pytest.skip("plan has fewer than two branches")
         n = int(cbm_plan.shape[0])
-        fused = (FusedStage("row-scale", branch=0, rows=np.arange(n)),)
-        rep = analyze_ir(lower_kernel_plan(cbm_plan, fused=fused))
+        ir = lower_kernel_plan(cbm_plan)
+        ir.replace_stage("branch0", writes=(Access("c", spans_of((0, n))),))
+        rep = analyze_ir(ir)
         assert rep.has("HZ-R4")
         assert rep.checks["hb.races"] is False
 

@@ -31,8 +31,9 @@ from repro.gnn.train import (
 )
 from repro.recovery import GenerationStore, atomic_write, set_sync_hook
 from repro.recovery.atomic import TMP_SUFFIX, is_tmp_debris
-from repro.recovery.crashsim import run_soak, run_trial
+from repro.recovery.crashsim import run_trial
 from repro.serving import AdjacencySlot, InferenceService
+from repro.soak import crash
 
 from tests.conftest import random_adjacency_csr
 
@@ -446,14 +447,13 @@ class TestCrashHarness:
         shutil.rmtree(trial.root, ignore_errors=True)
 
     def test_small_soak_holds_invariants(self):
-        report = run_soak(trials=4, seed=5, workloads=("archive", "multi"),
-                          iterations=2)
+        report = crash(trials=4, seed=5, workloads=("archive", "multi"), iterations=2)
         assert report["ok"], report["violations"]
         assert report["killed"] >= 1  # at least one trial actually died
 
     @pytest.mark.chaos
     def test_full_soak_all_workloads(self):
-        report = run_soak(trials=12, seed=0, iterations=2)
+        report = crash(trials=12, seed=0, iterations=2)
         assert report["ok"], report["violations"]
         assert report["killed"] >= 6
         assert report["commits_observed"] >= 1
@@ -461,9 +461,10 @@ class TestCrashHarness:
 
     @pytest.mark.chaos
     def test_negative_control_soak_fails(self):
-        report = run_soak(trials=3, seed=0, workloads=("archive",),
-                          iterations=2, break_protocol=True)
+        report = crash(trials=3, seed=0, workloads=("archive",), iterations=2,
+                       break_protocol=True)
         assert not report["ok"]
+        assert report["checks"]["committed_generations_kept"] is False
         assert any("lost after recovery" in v for v in report["violations"])
         import shutil
 

@@ -41,7 +41,6 @@ from repro.serving import (
     RetryPolicy,
     ServeTier,
     is_transient,
-    run_soak,
 )
 from repro.sparse.ops import spmm, spmv
 
@@ -701,16 +700,12 @@ class TestHotSwap:
 @pytest.mark.chaos
 def test_mini_soak_end_to_end():
     from repro.graphs.generators import erdos_renyi_graph
+    from repro.soak import serve
 
     a = erdos_renyi_graph(250, 6.0, seed=13)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FallbackWarning)
-        report = run_soak(
-            a, clients=4, requests_per_client=8, p=8, deadline_s=2.0,
-            recovery_rounds=60, seed=5,
-        )
-    assert report["checks"]["zero_wrong_results"], report["violations"]
-    assert report["checks"]["zero_hung_requests"], report["violations"]
+    report = serve(a, clients=4, requests=8, p=8, deadline_s=2.0, seed=5)
+    assert report["checks"]["zero_wrong"], report["violations"]
+    assert report["checks"]["zero_hung"], report["violations"]
     assert report["checks"]["overload_was_shed"], report["violations"]
     assert report["checks"]["tripped_to_degraded"], report["violations"]
     assert report["checks"]["recovered_to_fast"], report["violations"]

@@ -11,6 +11,7 @@ from repro.core.tree import CompressionTree
 from repro.errors import CompressionError, RecoveryError, ShapeError, StalenessError
 from repro.recovery import GenerationStore
 from repro.serving import AdjacencySlot, InferenceService
+from repro.soak import patched_budget
 from repro.sparse.ops import spmm
 from repro.staticcheck import audit_archive, audit_cbm
 from repro.streaming import (
@@ -22,7 +23,6 @@ from repro.streaming import (
     patch_cbm,
     publish_snapshot,
 )
-from repro.streaming.soak import patched_budget
 
 from tests.conftest import random_adjacency_csr
 
@@ -518,18 +518,12 @@ class TestBackgroundRebuilder:
 @pytest.mark.chaos
 class TestMutationSoak:
     def test_mini_storm_is_clean(self):
-        from repro.streaming import run_mutation_soak
+        from repro.soak import stream
 
-        report = run_mutation_soak(
-            clients=2,
-            requests_per_client=8,
-            mutator_batches=5,
-            crash_trials=1,
-            crash_requests=4,
-            min_requests=20,
-        )
+        report = stream(clients=2, requests=8, mutations=5, trials=1)
         assert report["ok"], (report["checks"], report["violations"])
-        assert report["wrong"] == 0
+        assert report["checks"]["zero_wrong"]
+        assert sum(ph["requests"] for ph in report["phases"]) >= 20
         assert report["rebuilds"] >= 1
         assert all(t["killed"] for t in report["crash"])
 
