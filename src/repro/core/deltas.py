@@ -50,33 +50,43 @@ def delta_sets(a: CSRMatrix, tree: CompressionTree, x: int) -> tuple[np.ndarray,
     return plus, minus
 
 
-def _gather(a: CSRMatrix, rows: np.ndarray) -> sp.csr_matrix:
-    """0/1 pattern of rows ``rows`` of ``a``; :data:`VIRTUAL` picks the empty row.
+def _gather(a: CSRMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and column indices of rows ``rows`` of ``a``;
+    :data:`VIRTUAL` picks the empty row.
 
-    One ragged gather copies every picked row's column indices at once,
-    so the cost is the picked rows' nnz, whatever the size of ``a``.
+    The rows are read through :meth:`CSRMatrix.extract_rows`, one ragged
+    gather, so the cost is the picked rows' nnz, whatever the size of
+    ``a``; a CSR that keeps some rows apart from its flat arrays (a
+    patched streaming snapshot) answers without building them.
     """
-    start = a.indptr[rows]
-    stop = np.where(rows == VIRTUAL, start, a.indptr[rows + 1])
-    length = stop - start
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(length, out=indptr[1:])
-    take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], length)
-    ones = np.ones(len(take), dtype=np.float32)
-    return sp.csr_matrix((ones, a.indices[take], indptr), shape=(len(rows), a.shape[1]))
+    real = rows != VIRTUAL
+    picked = a.extract_rows(rows[real])
+    indptr = picked.indptr
+    if not real.all():
+        length = np.zeros(len(rows), dtype=np.int64)
+        length[real] = np.diff(indptr)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(length, out=indptr[1:])
+    return indptr, picked.indices
 
 
 def delta_rows(a: CSRMatrix, parent: np.ndarray, rows: np.ndarray) -> CSRMatrix:
     """Delta rows ``rows`` of ``a`` under the parent array ``parent``,
-    reading only those rows and their parents' rows: the cost is their
-    nnz, not the matrix's.
+    reading only those rows and their parents' rows (in one gather): the
+    cost is their nnz, not the matrix's.
 
     Returns a ``len(rows) × m`` CSR whose i-th row holds +1 at the Δ⁺ and
     −1 at the Δ⁻ columns of row ``rows[i]``, sorted by column.  Values of
     ``a`` are ignored: every stored entry counts as a one.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    d = _gather(a, rows) - _gather(a, parent[rows])
+    k, shape = len(rows), (len(rows), a.shape[1])
+    indptr, indices = _gather(a, np.concatenate([rows, parent[rows]]))
+    mid = indptr[k]
+    ones = np.ones(len(indices), dtype=np.float32)
+    own = sp.csr_array((ones[:mid], indices[:mid], indptr[: k + 1]), shape=shape)
+    par = sp.csr_array((ones[mid:], indices[mid:], indptr[k:] - mid), shape=shape)
+    d = own - par
     return CSRMatrix(d.indptr, d.indices, d.data, d.shape, check=False)
 
 

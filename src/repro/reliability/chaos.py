@@ -107,9 +107,13 @@ def random_edge_batch(
     pairs_del: set[tuple[int, int]] = set()
     nnz = a.nnz
     if nnz and deletes:
+        # Per-row counts and row reads, never the flat arrays, which a
+        # patched streaming snapshot would have to splice first.
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(a.row_nnz(), out=indptr[1:])
         for pos in rng.integers(0, nnz, size=4 * deletes):
-            u = int(np.searchsorted(a.indptr, pos, side="right") - 1)
-            v = int(a.indices[pos])
+            u = int(np.searchsorted(indptr, pos, side="right") - 1)
+            v = int(a.row(u)[pos - indptr[u]])
             if symmetric and u > v:
                 u, v = v, u
             pairs_del.add((u, v))

@@ -134,22 +134,22 @@ class CSRMatrix:
         )
 
     def extract_rows(self, rows) -> "CSRMatrix":
-        """Row submatrix (full column width) in the given row order."""
+        """Row submatrix (full column width) in the given row order.
+
+        One ragged gather copies every picked row at once, so the cost is
+        the picked rows' nnz, whatever the size of the matrix.
+        """
         rows = ensure_array(rows, dtype=np.int64, name="rows").ravel()
         if len(rows) and (rows.min() < 0 or rows.max() >= self.shape[0]):
             raise ShapeError(f"row indices out of range for {self.shape}")
-        counts = self.row_nnz()[rows]
+        start = self.indptr[rows]
+        length = self.indptr[rows + 1] - start
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        chunks_i = [self.row(int(r)) for r in rows]
-        chunks_v = [self.row_values(int(r)) for r in rows]
-        indices = np.concatenate(chunks_i) if chunks_i else np.empty(0, dtype=np.int64)
-        data = (
-            np.concatenate(chunks_v)
-            if chunks_v
-            else np.empty(0, dtype=self.data.dtype)
+        np.cumsum(length, out=indptr[1:])
+        take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], length)
+        return CSRMatrix(
+            indptr, self.indices[take], self.data[take], (len(rows), self.shape[1]), check=False
         )
-        return CSRMatrix(indptr, indices, data, (len(rows), self.shape[1]), check=False)
 
     def copy(self) -> "CSRMatrix":
         return CSRMatrix(

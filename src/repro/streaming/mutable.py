@@ -6,15 +6,23 @@ row only, so toggling edge ``(u, v)`` can change at most the delta rows
 of ``u`` itself and of ``u``'s direct children (whose diffs are taken
 against ``u``'s content).  :func:`patch_cbm` exploits exactly that — an
 edge batch is applied by recomputing only the affected rows' delta sets
-and splicing them into fresh CSR arrays, leaving every other row's
+and splicing them into fresh delta arrays, leaving every other row's
 storage byte-identical.  What a patch costs:
 
 * the edits and the delta extraction read only the mutated rows and the
-  affected rows with their parents (:func:`~repro.core.deltas.delta_rows`),
-  so they cost the batch plus those rows' nnz;
-* the copy-on-write splice of the source and delta arrays is one
-  O(n + nnz) copy each, which immutable snapshots cannot avoid (one
-  O(n) mask over the parent array also finds the mutated rows'
+  affected rows with their parents (:func:`~repro.core.deltas.delta_rows`,
+  through the source's rows), so they cost the batch plus those rows'
+  nnz;
+* the source is not copied: the new snapshot's source shares its
+  predecessor's flat base CSR and carries every row replaced since that
+  base beside it (a table of at most a quarter of the rows; a patch
+  that would pass that folds the rows into a new flat base, one
+  O(n + nnz) copy);
+* the source's flat ``indptr``/``indices``/``data`` are spliced once, by
+  whoever reads them first (a rebuild, a CSR product, an audit), and
+  then serve as the next patch's base;
+* the delta arrays are one O(n + nnz(Δ)) copy, one slice per kept span
+  (one O(n) mask over the parent array also finds the mutated rows'
   children);
 * nothing tree-shaped is redone: a patch never moves a parent, so the
   new tree (:meth:`~repro.core.tree.CompressionTree.reweighted`) shares
@@ -48,6 +56,7 @@ from repro.core.cbm import CBMMatrix, Variant
 from repro.core.deltas import delta_rows
 from repro.errors import CompressionError, ShapeError, StalenessError
 from repro.sparse.csr import CSRMatrix
+from repro.utils.validation import ensure_array
 
 __all__ = ["EdgeBatch", "PatchReport", "MutableAdjacency", "patch_cbm"]
 
@@ -112,37 +121,182 @@ class PatchReport:
     seconds: float
 
 
-def _splice_rows(
-    csr: CSRMatrix, rows: dict[int, tuple[np.ndarray, np.ndarray]]
-) -> CSRMatrix:
-    """A new CSR with the given rows replaced by (indices, data) pairs.
+# A patch whose snapshot would carry more replaced rows than this share of
+# all rows folds them into a fresh flat base instead, so the row table
+# each patch copies stays bounded when nothing reads the flat form.
+_FOLD_SHARE = 0.25
 
-    Only the replaced rows' storage changes; every untouched span is
-    copied as one contiguous slice, so the cost is O(nnz) memory but the
-    per-row Python work is proportional to the number of patched rows.
+
+def _splice_rows(
+    csr: CSRMatrix,
+    rows: list[int],
+    indices: list[np.ndarray],
+    data: list[np.ndarray] | None = None,
+) -> CSRMatrix:
+    """A new CSR with rows ``rows`` (ascending) replaced by ``indices``,
+    valued ``data`` (ones when None).
+
+    Each kept span between two replaced rows is copied as one slice, so
+    the Python work is per replaced row and the copy is one pass over the
+    arrays.
     """
-    n = csr.shape[0]
+    ptr = csr.indptr
+    cuts = np.concatenate(([0], np.add(rows, 1), [len(ptr)]))
+    lo, hi = ptr[cuts[1:-1] - 1], ptr[cuts[1:-1]]
+    # Every pointer after a replaced row moves by the replaced rows'
+    # summed growth so far.
+    growth = np.cumsum([0] + [len(idx) for idx in indices])
+    growth[1:] -= np.cumsum(hi - lo)
+    indptr = ptr + np.repeat(growth, cuts[1:] - cuts[:-1])
+    lo, hi = lo.tolist(), hi.tolist()
+    if data is None:
+        ones = np.ones(max(map(len, indices), default=0), dtype=csr.data.dtype)
+        data = [ones[: len(idx)] for idx in indices]
     idx_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
-    counts = np.diff(csr.indptr).astype(np.int64)
     prev = 0
-    for r in sorted(rows):
-        lo, hi = csr.indptr[prev], csr.indptr[r]
-        idx_parts.append(csr.indices[lo:hi])
-        val_parts.append(csr.data[lo:hi])
-        idx, val = rows[r]
-        idx_parts.append(np.asarray(idx, dtype=csr.indices.dtype))
-        val_parts.append(np.asarray(val, dtype=csr.data.dtype))
-        counts[r] = len(idx)
-        prev = r + 1
-    lo = csr.indptr[prev]
-    idx_parts.append(csr.indices[lo:])
-    val_parts.append(csr.data[lo:])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(idx_parts) if idx_parts else csr.indices[:0]
-    data = np.concatenate(val_parts) if val_parts else csr.data[:0]
-    return CSRMatrix(indptr, indices, data, csr.shape, check=False)
+    for start, stop, idx, val in zip(lo, hi, indices, data, strict=True):
+        idx_parts += (csr.indices[prev:start], idx)
+        val_parts += (csr.data[prev:start], val)
+        prev = stop
+    idx_parts.append(csr.indices[prev:])
+    val_parts.append(csr.data[prev:])
+    return CSRMatrix(
+        indptr,
+        np.concatenate(idx_parts, dtype=csr.indices.dtype),
+        np.concatenate(val_parts, dtype=csr.data.dtype),
+        csr.shape,
+        check=False,
+    )
+
+
+def _fold(base: CSRMatrix, rows: dict[int, np.ndarray]) -> CSRMatrix:
+    """One flat CSR: ``base`` with the replaced ``rows`` (valued one)."""
+    keys = sorted(rows)
+    return _splice_rows(base, keys, [rows[r] for r in keys])
+
+
+class _PatchedCSR(CSRMatrix):
+    """A patched snapshot's source: a flat base CSR, shared with earlier
+    snapshots, plus the rows replaced since it (valued one).
+
+    ``row``, ``row_nnz``, ``extract_rows``, ``nnz`` and ``shape`` are
+    answered from the pair.  The flat ``indptr``, ``indices`` and
+    ``data`` are spliced on first access, under a lock, and then stand in
+    for the pair as a base with no replaced rows, in one reference swap:
+    a concurrent reader sees the old pair or the new one, never a mix,
+    and every reader gets the same arrays.
+    """
+
+    __slots__ = ("_view", "_nnz", "_lock")
+
+    def __init__(self, base: CSRMatrix, rows: dict[int, np.ndarray], nnz: int):
+        self.shape = base.shape
+        self._view = (base, rows)
+        self._nnz = nnz
+        self._lock = threading.Lock()
+
+    def _flat(self) -> CSRMatrix:
+        base, rows = self._view
+        if rows:
+            with self._lock:
+                base, rows = self._view
+                if rows:
+                    base = _fold(base, rows)
+                    self._view = (base, {})
+        return base
+
+    indptr = property(lambda self: self._flat().indptr)
+    indices = property(lambda self: self._flat().indices)
+    data = property(lambda self: self._flat().data)
+
+    @property
+    def nnz(self) -> int:
+        return self._nnz
+
+    def row(self, i: int) -> np.ndarray:
+        base, rows = self._view
+        idx = rows.get(i)
+        return base.row(i) if idx is None else idx
+
+    def row_nnz(self) -> np.ndarray:
+        base, rows = self._view
+        counts = base.row_nnz()
+        if rows:
+            counts[list(rows)] = [len(idx) for idx in rows.values()]
+        return counts
+
+    def extract_rows(self, rows) -> CSRMatrix:
+        base, replaced = self._view
+        if not replaced:
+            return base.extract_rows(rows)
+        rows = ensure_array(rows, dtype=np.int64, name="rows").ravel()
+        if len(rows) and (rows.min() < 0 or rows.max() >= self.shape[0]):
+            raise ShapeError(f"row indices out of range for {self.shape}")
+        # One slice per picked row: for the few rows a patch reads this is
+        # cheaper than the base's ragged gather with the replaced rows
+        # spliced in afterwards.
+        ptr, ind, val = base.indptr, base.indices, base.data
+        hits = [replaced.get(r) for r in rows.tolist()]
+        spans = list(zip(hits, ptr[rows].tolist(), ptr[rows + 1].tolist()))
+        ones = np.ones(max((len(h) for h in hits if h is not None), default=0), val.dtype)
+        idx_parts = [ind[lo:hi] if h is None else h for h, lo, hi in spans]
+        val_parts = [val[lo:hi] if h is None else ones[: len(h)] for h, lo, hi in spans]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(idx) for idx in idx_parts], out=indptr[1:])
+        return CSRMatrix(
+            indptr,
+            np.concatenate([ind[:0], *idx_parts]),
+            np.concatenate([val[:0], *val_parts]),
+            (len(rows), self.shape[1]),
+            check=False,
+        )
+
+    def __reduce__(self):
+        return CSRMatrix, (self.indptr, self.indices, self.data, self.shape)
+
+
+def _edit_rows(source: CSRMatrix, batch: EdgeBatch):
+    """Fold a batch into the rows it changes, with NumPy over the batch
+    and the mutated rows only.
+
+    Returns ``(rows, counts)``: the new column indices of every row the
+    batch effectively changes, and the inserted/deleted/no-op counts.
+    """
+    m = source.shape[1]
+    ins = np.unique(batch.inserts[:, 0] * m + batch.inserts[:, 1])
+    dels = np.unique(batch.deletes[:, 0] * m + batch.deletes[:, 1])
+    both = set(ins.tolist()).intersection(dels.tolist())
+    if both:
+        raise CompressionError(
+            f"edge(s) {sorted(divmod(k, m) for k in both)} appear in both the "
+            "insert and delete sets of one batch — ordering is ambiguous"
+        )
+    touched = np.unique(np.concatenate([ins, dels]) // m)
+    old = [source.row(u) for u in touched.tolist()]
+    old_keys = np.repeat(touched * m, [len(r) for r in old]) + np.concatenate([*old, ins[:0]])
+    # Membership by binary search in the sorted old keys; the padded
+    # last slot answers "past the end" and matches no key.
+    padded = np.append(old_keys, -1)
+    at_ins = np.searchsorted(old_keys, ins)
+    at_del = np.searchsorted(old_keys, dels)
+    real_ins = ins[padded[at_ins] != ins]
+    real_del = padded[at_del] == dels
+    keep = np.ones(len(old_keys), dtype=bool)
+    keep[at_del[real_del]] = False
+    new_keys = np.sort(np.concatenate([old_keys[keep], real_ins]))
+    changed = np.unique(np.concatenate([real_ins, dels[real_del]]) // m)
+    lo = np.searchsorted(new_keys, changed * m).tolist()
+    hi = np.searchsorted(new_keys, (changed + 1) * m).tolist()
+    cols = new_keys % m
+    rows = {u: cols[a:b] for u, a, b in zip(changed.tolist(), lo, hi)}
+    inserted, deleted = len(real_ins), int(real_del.sum())
+    return rows, {
+        "inserted": inserted,
+        "deleted": deleted,
+        "noops": batch.num_edges - inserted - deleted,
+        "rows_touched": len(rows),
+    }
 
 
 def patch_cbm(
@@ -159,6 +313,9 @@ def patch_cbm(
     one), or repeating an edge within the batch, is a counted no-op,
     never an error — mutation feeds are routinely at-least-once — so
     ``inserted + deleted + noops == batch.num_edges``.
+
+    The returned source shares ``source``'s storage and holds the
+    mutated rows beside it; its flat arrays are built when first read.
 
     Raises :class:`~repro.errors.CompressionError` for scaled variants:
     the AD/DAD diagonals are degree-derived, and mutations change
@@ -184,57 +341,18 @@ def patch_cbm(
                 f"{what} edges out of range for a {n}x{m} adjacency"
             )
 
-    # Fold each row's inserts and deletes into sets; a pair repeated
-    # inside the batch is a no-op like any other redundant mutation.
-    adds: dict[int, set[int]] = {}
-    rems: dict[int, set[int]] = {}
-    noops = 0
-    for edges, cols_of in ((batch.inserts, adds), (batch.deletes, rems)):
-        for u, v in edges.tolist():
-            cols = cols_of.setdefault(u, set())
-            noops += v in cols
-            cols.add(v)
-    for u in adds.keys() & rems.keys():
-        both = adds[u] & rems[u]
-        if both:
-            raise CompressionError(
-                f"edge(s) {sorted((u, v) for v in both)} appear in both the "
-                "insert and delete sets of one batch — ordering is ambiguous"
-            )
-
-    # New row contents for effectively-changed rows (no-ops drop out).
-    new_rows: dict[int, np.ndarray] = {}
-    inserted = deleted = 0
-    for u in sorted(adds.keys() | rems.keys()):
-        old = set(source.row(u).tolist())
-        add = adds.get(u, set())
-        rem = rems.get(u, set())
-        real_add = add - old
-        real_rem = rem & old
-        noops += (len(add) - len(real_add)) + (len(rem) - len(real_rem))
-        if not real_add and not real_rem:
-            continue
-        inserted += len(real_add)
-        deleted += len(real_rem)
-        new_rows[u] = np.array(sorted((old - real_rem) | real_add), dtype=np.int64)
-
-    stats = {
-        "inserted": inserted,
-        "deleted": deleted,
-        "noops": noops,
-        "rows_touched": len(new_rows),
-    }
+    new_rows, stats = _edit_rows(source, batch)
     if not new_rows:
         stats["rows_patched"] = 0
         return cbm, source, stats
 
-    source2 = _splice_rows(
-        source,
-        {
-            u: (r, np.ones(len(r), dtype=source.data.dtype))
-            for u, r in new_rows.items()
-        },
-    )
+    base, rows = source._view if isinstance(source, _PatchedCSR) else (source, {})
+    rows = {**rows, **new_rows}
+    if len(rows) > _FOLD_SHARE * n:
+        source2 = _fold(base, rows)
+    else:
+        nnz = source.nnz + stats["inserted"] - stats["deleted"]
+        source2 = _PatchedCSR(base, rows, nnz)
     # Affected delta rows: the mutated rows plus their direct children
     # (a child's delta sets are diffs against the mutated content).
     parent = cbm.tree.parent
@@ -244,9 +362,13 @@ def patch_cbm(
     block = delta_rows(source2, parent, affected)
     new_weight = cbm.tree.weight.copy()
     new_weight[affected] = block.row_nnz()
+    bp = block.indptr.tolist()
+    spans = list(zip(bp, bp[1:]))
     delta2 = _splice_rows(
         cbm.delta,
-        {int(x): (block.row(i), block.row_values(i)) for i, x in enumerate(affected)},
+        affected.tolist(),
+        [block.indices[a:b] for a, b in spans],
+        [block.data[a:b] for a, b in spans],
     )
     # Fresh tree/CBM objects: published snapshots stay immutable, and
     # the plan-fingerprint check in CBMMatrix.plan() rebuilds kernel

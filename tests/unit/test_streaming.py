@@ -12,6 +12,7 @@ from repro.errors import CompressionError, RecoveryError, ShapeError, StalenessE
 from repro.recovery import GenerationStore
 from repro.serving import AdjacencySlot, InferenceService
 from repro.soak import patched_budget
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import spmm
 from repro.staticcheck import audit_archive, audit_cbm
 from repro.streaming import (
@@ -195,6 +196,155 @@ class TestPatchContract:
         assert patched.tree.weight.dtype == want_weight.dtype
         assert np.array_equal(patched.tree.weight, want_weight)
         assert np.array_equal(patched.tocsr().toarray(), src.toarray())
+
+
+def indptr_edge_batch(a, *, inserts, deletes, symmetric, seed):
+    """The sampler as it read the flat arrays: the reference for
+    :func:`repro.reliability.chaos.random_edge_batch`."""
+    rng = np.random.default_rng(seed)
+    n, m = a.shape
+    pairs_del = set()
+    if a.nnz and deletes:
+        for pos in rng.integers(0, a.nnz, size=4 * deletes):
+            u = int(np.searchsorted(a.indptr, pos, side="right") - 1)
+            v = int(a.indices[pos])
+            if symmetric and u > v:
+                u, v = v, u
+            pairs_del.add((u, v))
+            if len(pairs_del) >= deletes:
+                break
+    pairs_ins = set()
+    if inserts:
+        for u, v in rng.integers(0, (n, m), size=(8 * inserts, 2)):
+            u, v = int(u), int(v)
+            if symmetric and u > v:
+                u, v = v, u
+            if u == v or v in a.row(u) or (u, v) in pairs_del:
+                continue
+            pairs_ins.add((u, v))
+            if len(pairs_ins) >= inserts:
+                break
+
+    def expand(pairs):
+        out = []
+        for u, v in sorted(pairs):
+            out.append((u, v))
+            if symmetric and u != v:
+                out.append((v, u))
+        return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+
+    return expand(pairs_ins), expand(pairs_del)
+
+
+def overlaid(snapshot) -> bool:
+    """Whether a snapshot's source still holds replaced rows apart from
+    flat arrays (nothing has read its flat form yet)."""
+    from repro.streaming.mutable import _PatchedCSR
+
+    return isinstance(snapshot, _PatchedCSR) and bool(snapshot._view[1])
+
+
+class TestOverlaySource:
+    """A patched source answers rows and counts from a shared base plus
+    the replaced rows, and builds its flat arrays once, on first read."""
+
+    def _patched(self, batches=6, seed=40):
+        # Large enough that the replaced rows stay under the fold bound.
+        a = random_adjacency_csr(300, density=0.03, seed=seed)
+        m = MutableAdjacency.from_graph(a, journal_limit=10**6)
+        for j in range(batches):
+            _, _, src = m.snapshot()
+            m.apply(EdgeBatch.random(src, inserts=2, deletes=2, seed=seed + j))
+        return m.snapshot()[2]
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_sampling_reads_rows_not_flat_arrays(self, symmetric):
+        from repro.reliability.chaos import random_edge_batch
+
+        src = self._patched()
+        assert overlaid(src)
+        got = [
+            random_edge_batch(src, inserts=5, deletes=5, symmetric=symmetric, seed=s)
+            for s in range(30)
+        ]
+        assert overlaid(src), "sampling a batch flattened the snapshot"
+        flat = CSRMatrix(src.indptr, src.indices, src.data, src.shape)
+        for s, (ins, dels) in enumerate(got):
+            for batch in (
+                random_edge_batch(flat, inserts=5, deletes=5, symmetric=symmetric, seed=s),
+                indptr_edge_batch(flat, inserts=5, deletes=5, symmetric=symmetric, seed=s),
+            ):
+                assert ins.dtype == batch[0].dtype and dels.dtype == batch[1].dtype
+                assert np.array_equal(ins, batch[0]) and np.array_equal(dels, batch[1])
+
+    def test_patching_never_flattens(self):
+        a = random_adjacency_csr(300, density=0.03, seed=41)
+        m = MutableAdjacency.from_graph(a, journal_limit=10**6)
+        for j in range(8):
+            _, _, src = m.snapshot()
+            m.apply(EdgeBatch.random(src, inserts=2, deletes=2, seed=j))
+            assert overlaid(m.snapshot()[2])
+
+    def test_concurrent_first_reads_get_the_same_arrays(self):
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                src = self._patched(batches=4, seed=seed)
+                assert overlaid(src)
+                start = threading.Barrier(4)
+                seen = []
+
+                def read(src=src, start=start, seen=seen):
+                    start.wait(timeout=10)
+                    seen.append((src.indptr, src.indices, src.data))
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert len(seen) == 4
+                for arrays in seen[1:]:
+                    assert all(x is y for x, y in zip(arrays, seen[0], strict=True))
+                assert len(seen[0][0]) == src.shape[0] + 1
+                assert seen[0][0][-1] == len(seen[0][1]) == src.nnz
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pickles_as_a_flat_csr(self):
+        import pickle
+
+        src = self._patched()
+        back = pickle.loads(pickle.dumps(src))
+        assert type(back) is CSRMatrix
+        assert np.array_equal(back.toarray(), src.toarray())
+
+    def test_patch_copies_a_fraction_of_the_source(self):
+        """One non-folding patch on COLLAB allocates at most a fifth of
+        the source's bytes: the Δ splice and the rows it changes, not a
+        copy of the source."""
+        import tracemalloc
+
+        from repro.graphs.datasets import load_dataset
+
+        a = load_dataset("COLLAB")
+        m = MutableAdjacency.from_graph(a, journal_limit=10**6)
+        batches = [EdgeBatch.random(a, inserts=4, deletes=4, seed=s) for s in (1, 2)]
+        m.apply(batches[0])
+        tracemalloc.start()
+        try:
+            m.apply(batches[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert overlaid(m.snapshot()[2])
+        source_bytes = a.indptr.nbytes + a.indices.nbytes + a.data.nbytes
+        assert peak <= 0.2 * source_bytes, (peak, source_bytes)
 
 
 class TestMutableAdjacency:
